@@ -18,12 +18,13 @@ The ``harness`` module exposes every experiment through the ``stability-lab``
 command line.
 """
 
-from .words import (Ball, ReducedWord, ResourceLimitError, WordSet,
-                    ball_size, enumerate_ball, identity, kernel_fingerprint,
-                    reduce, word_from_string, word_to_string)
-from .perms import (GenTuple, Perm, alt_marking, check_almost_solution,
-                    check_separating, generate_closure, hamming_distance,
-                    identity_perm, perm_from_cycles, tuple_distance, word_eval)
+from .words import (Ball, InvariantError, ReducedWord, ResourceLimitError,
+                    WordSet, ball_size, enumerate_ball, identity,
+                    kernel_fingerprint, reduce, word_from_string, word_to_string)
+from .perms import (GenTuple, Perm, alt_marking, ball_images,
+                    check_almost_solution, check_separating, generate_closure,
+                    hamming_distance, identity_perm, perm_from_cycles,
+                    tuple_distance, word_eval)
 from .marked import (AZElement, MarkedGroupOracle, TruncatedDiagonalProduct,
                      alt_oracle, az_oracle, convergence_table, diagonal_oracle,
                      marked_nu, neumann_truncation, oracle_by_name, tail_defect)

@@ -16,9 +16,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .irs import FiniteGSet
-from .perms import GenTuple, Perm, word_eval
-from .words import ReducedWord, ResourceLimitError, WordSet, enumerate_ball
+from .perms import GenTuple, Perm, ball_images, word_eval
+from .words import Ball, ReducedWord, ResourceLimitError, WordSet, enumerate_ball
 
 
 @dataclass(frozen=True)
@@ -71,9 +73,9 @@ def d_gen_exact(x: FiniteGSet, y: FiniteGSet, cap: int = 8) -> Fraction:
     return best
 
 
-def _signatures(gset: FiniteGSet, words) -> list[tuple[bool, ...]]:
-    perms = [word_eval(w, gset.action) for w in words]
-    return [tuple(p(point) == point for p in perms) for point in range(gset.size)]
+def _signatures(gset: FiniteGSet, ball: Ball) -> list[tuple[bool, ...]]:
+    fixed = ball_images(gset.action, ball) == np.arange(gset.size)
+    return [tuple(row) for row in fixed.T.tolist()]
 
 
 @dataclass(frozen=True)
@@ -94,9 +96,9 @@ def d_gen_bound(x: FiniteGSet, y: FiniteGSet, restarts: int = 30,
     pair = FSetPair(x, y)
     size = pair.x.size
     rng = random.Random(seed)
-    words = enumerate_ball(pair.x.rank, 2).words
-    sig_x = _signatures(x, words)
-    sig_y = _signatures(y, words)
+    ball = enumerate_ball(pair.x.rank, 2)
+    sig_x = _signatures(x, ball)
+    sig_y = _signatures(y, ball)
 
     def greedy(order):
         free = list(range(size))

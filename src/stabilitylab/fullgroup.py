@@ -22,7 +22,8 @@ from .irs import CylinderFingerprint, EmpiricalIRS
 from .perms import Perm
 from .subshift import (ClopenSet, ErgodicMeasure, KRPartition, Substitution,
                        full_set, is_partition, kr_partition, refine_kr)
-from .words import ReducedWord, ResourceLimitError, enumerate_ball, identity
+from .words import (InvariantError, ReducedWord, ResourceLimitError, enumerate_ball,
+                    identity)
 
 
 class CocycleNotConstantError(ValueError):
@@ -304,7 +305,8 @@ def atom_action(g: TableElement, partition: KRPartition) -> AtomPerm:
         for i in range(h):
             j = i + exps[start + i]
             if 0 <= j < h:
-                assert j not in taken
+                if j in taken:
+                    raise InvariantError(f"atom {start + j} has two preimages")
                 taken.add(j)
                 images[start + i] = start + j
             else:

@@ -258,7 +258,7 @@ def run_dgen(opts: dict) -> None:
 
 COMMANDS = {
     "alt-convergence": (run_alt_convergence, {
-        "r_min": 2, "r_max": 8, "nu_radius": 8, "out": ".", "seed": 0}),
+        "r_min": 2, "r_max": 8, "nu_radius": 8, "out": "."}),
     "neumann": (run_neumann, {
         "offset": 0, "length": 6, "words": 20, "out": ".", "seed": 7}),
     "vershik": (run_vershik, {
@@ -266,14 +266,14 @@ COMMANDS = {
         "window": 40, "out": ".", "seed": 7}),
     "subshift-kr": (run_subshift_kr, {
         "substitution": "fibonacci", "seeds": "a,b,ab", "tolerance": 1e-9,
-        "out": ".", "seed": 0}),
+        "out": "."}),
     "fullgroup-embed": (run_fullgroup_embed, {
         "substitution": "fibonacci", "gadget_seed": "aa", "gadgets": 2,
-        "radii": "1,2", "out": ".", "seed": 0}),
+        "radii": "1,2", "out": "."}),
     "fullgroup-irs": (run_fullgroup_irs, {
         "substitution": "fibonacci", "gadget_seed": "aa", "gadgets": 2,
         "k": 1, "radius": 1, "levels": "aa,ab", "tolerance": 1e-9,
-        "out": ".", "seed": 0}),
+        "out": "."}),
     "dgen": (run_dgen, {
         "size": 6, "instances": 100, "restarts": 30, "out": ".", "seed": 7}),
 }
@@ -290,9 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="flat key=value file; flags win")
         for key, default in defaults.items():
             flag = "--" + key.replace("_", "-")
-            if isinstance(default, bool):
-                sp.add_argument(flag, type=int, default=None)
-            elif isinstance(default, int):
+            if isinstance(default, int):
                 sp.add_argument(flag, type=int, default=None)
             elif isinstance(default, float):
                 sp.add_argument(flag, type=float, default=None)

@@ -14,12 +14,13 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .perms import GenTuple, Perm, alt_marking, identity_perm, word_eval
-from .words import (Ball, ReducedWord, ResourceLimitError, enumerate_ball,
-                    identity, word_from_string, word_to_string)
+from .perms import GenTuple, Perm, alt_marking, ball_images, identity_perm
+from .words import (Ball, InvariantError, ReducedWord, ResourceLimitError,
+                    enumerate_ball, identity, word_from_string, word_to_string)
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,12 @@ class CylinderFingerprint:
     def from_words(cls, radius: int, words) -> "CylinderFingerprint":
         return cls(radius, tuple(sorted(set(words), key=ReducedWord.sort_key)))
 
+    @cached_property
+    def _members(self) -> frozenset:
+        return frozenset(self.words)
+
     def __contains__(self, word) -> bool:
-        return word in set(self.words)
+        return word in self._members
 
     def __len__(self) -> int:
         return len(self.words)
@@ -206,7 +211,8 @@ def disjoint_union(*gsets: FiniteGSet) -> FiniteGSet:
             images.extend(offset + y for y in g.action.perms[i].images)
             offset += g.size
         perms.append(Perm(tuple(images)))
-    assert offset == total
+    if offset != total:
+        raise InvariantError(f"union has {offset} points, parts sum to {total}")
     return FiniteGSet(GenTuple(tuple(perms)))
 
 
@@ -232,35 +238,26 @@ def gset_from_json(text: str) -> FiniteGSet:
     return gset
 
 
-def _ball_perms(action: GenTuple, ball: Ball) -> list[Perm]:
-    if ball.rank != action.rank:
-        raise ValueError("rank mismatch")
-    return [word_eval(w, action) for w in ball.words]
+def _fixed_words(ball: Ball, fixed) -> list[ReducedWord]:
+    return list(itertools.compress(ball.words, fixed.tolist()))
 
 
 def fingerprint(action: GenTuple, x: int, ball: Ball) -> CylinderFingerprint:
     """Stabilizer fingerprint of one point: the ball words fixing it."""
     if not 0 <= x < action.degree:
         raise ValueError(f"point {x} outside range({action.degree})")
-    perms = _ball_perms(action, ball)
-    return CylinderFingerprint.from_words(
-        ball.radius, [w for w, p in zip(ball.words, perms) if p(x) == x])
+    fixed = ball_images(action, ball)[:, x] == x
+    return CylinderFingerprint.from_words(ball.radius, _fixed_words(ball, fixed))
 
 
 def irs_of_gset(gset: FiniteGSet, radius: int, ball: Ball | None = None) -> EmpiricalIRS:
     """Exact stabilizer-fingerprint distribution of the uniform point measure."""
     if ball is None:
         ball = enumerate_ball(gset.rank, radius)
-    perms = _ball_perms(gset.action, ball)
-    counts: dict[tuple, int] = {}
-    for x in range(gset.size):
-        key = tuple(p(x) == x for p in perms)
-        counts[key] = counts.get(key, 0) + 1
-    masses = {}
-    for key, count in counts.items():
-        fp = CylinderFingerprint.from_words(
-            radius, [w for w, fixed in zip(ball.words, key) if fixed])
-        masses[fp] = masses.get(fp, Fraction(0)) + Fraction(count, gset.size)
+    fixed = ball_images(gset.action, ball) == np.arange(gset.size)
+    rows, counts = np.unique(fixed.T, axis=0, return_counts=True)
+    masses = {CylinderFingerprint.from_words(radius, _fixed_words(ball, row)):
+              Fraction(count, gset.size) for row, count in zip(rows, counts.tolist())}
     return EmpiricalIRS(radius, masses, exact=True)
 
 
@@ -440,6 +437,8 @@ def sample_irs(point_sampler, fixes, ball: Ball, n_samples: int,
         try:
             point = point_sampler(rng)
             fixed = [w for w in ball.words if fixes(w, point)]
+        except ResourceLimitError:
+            raise
         except Exception as exc:
             raise RuntimeError(f"sampler failed at sample {i}") from exc
         fp = CylinderFingerprint.from_words(ball.radius, fixed)
@@ -521,12 +520,13 @@ def _finish_sampled(radius, ball, bool_matrix, n_samples) -> EmpiricalIRS:
 def _vershik_alt(weights, n, ball, mode, n_samples, seed, cap) -> EmpiricalIRS:
     marking = _alt_like_marking(n)
     degree = marking.degree
-    perms = [word_eval(w, marking) for w in ball.words]
+    images = ball_images(marking, ball)
     n_colors = len(weights)
     if mode == "exact":
         if n_colors ** degree > cap:
             raise ResourceLimitError(
                 f"{n_colors}**{degree} colorings exceed the enumeration cap")
+        rows = images.tolist()
         mass_by_key: dict = {}
         for coloring in itertools.product(range(n_colors), repeat=degree):
             m = Fraction(1)
@@ -534,8 +534,8 @@ def _vershik_alt(weights, n, ball, mode, n_samples, seed, cap) -> EmpiricalIRS:
                 m *= weights[c]
             if m == 0:
                 continue
-            key = tuple(all(coloring[p(x)] == coloring[x] for x in range(degree))
-                        for p in perms)
+            key = tuple(all(coloring[y] == coloring[x] for x, y in enumerate(row))
+                        for row in rows)
             mass_by_key[key] = mass_by_key.get(key, Fraction(0)) + m
         return _finish_exact(ball.radius, ball, mass_by_key)
     if mode == "sampled":
@@ -544,10 +544,9 @@ def _vershik_alt(weights, n, ball, mode, n_samples, seed, cap) -> EmpiricalIRS:
         rng = np.random.default_rng(seed)
         p = np.array([float(a) for a in weights])
         colorings = rng.choice(n_colors, size=(n_samples, degree), p=p / p.sum())
-        cols = np.empty((n_samples, len(perms)), dtype=bool)
-        for j, perm in enumerate(perms):
-            images = np.array(perm.images)
-            cols[:, j] = (colorings[:, images] == colorings).all(axis=1)
+        cols = np.empty((n_samples, len(images)), dtype=bool)
+        for j, row in enumerate(images):
+            cols[:, j] = (colorings[:, row] == colorings).all(axis=1)
         return _finish_sampled(ball.radius, ball, cols, n_samples)
     raise ValueError(f"unknown mode {mode!r}")
 

@@ -1,7 +1,8 @@
 """The space of marked groups at desk scale.
 
 A *marked-group oracle* is anything with a ``rank``, an ``evaluate(word)``
-method returning an opaque element handle, and ``is_identity(handle)``.
+method returning an opaque element handle, ``is_identity(handle)``, and
+``kernel_mask(ball)``, which says for a whole ball at once which words die.
 Evaluation is the homomorphism from the rank-d free group fixed by the
 marking.  Concrete oracles here: finite alternating groups with their
 standard 2-marking, the alternating enrichment of the integers (finitely
@@ -18,9 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .perms import GenTuple, Perm, alt_marking, word_eval
-from .words import (DEFAULT_BALL_CAP, ReducedWord, enumerate_ball,
-                    kernel_fingerprint)
+import numpy as np
+
+from .perms import GenTuple, Perm, alt_marking, ball_images, word_eval
+from .words import (DEFAULT_BALL_CAP, Ball, ReducedWord, enumerate_ball,
+                    evaluate_levels, kernel_fingerprint)
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +125,13 @@ def az_from_cycles(cycles, shift: int = 0) -> AZElement:
 # ---------------------------------------------------------------------------
 # oracles
 
+def _identity_mask(gens: GenTuple, ball: Ball) -> np.ndarray:
+    return (ball_images(gens, ball) == np.arange(gens.degree)).all(axis=1)
+
+
 class MarkedGroupOracle:
-    """Base class; subclasses fix rank, evaluate and is_identity."""
+    """Base class; subclasses fix rank, evaluate and is_identity, and may
+    override kernel_mask with a faster evaluation of the whole ball."""
 
     rank: int
     name: str
@@ -136,6 +144,15 @@ class MarkedGroupOracle:
 
     def word_is_identity(self, word: ReducedWord) -> bool:
         return self.is_identity(self.evaluate(word))
+
+    def kernel_mask(self, ball: Ball) -> np.ndarray:
+        """Boolean array over ``ball.words``: true where the word dies.
+
+        This scalar default evaluates one word at a time; it is the
+        reference that the overrides are tested against.
+        """
+        return np.fromiter((self.word_is_identity(w) for w in ball.words),
+                           dtype=bool, count=len(ball))
 
     def __repr__(self) -> str:
         return f"<oracle {self.name}>"
@@ -191,6 +208,9 @@ class AltOracle(MarkedGroupOracle):
     def is_identity(self, handle) -> bool:
         return handle.is_identity
 
+    def kernel_mask(self, ball: Ball) -> np.ndarray:
+        return _identity_mask(self.gens, ball)
+
 
 class AZOracle(MarkedGroupOracle):
     """The alternating enrichment of Z, marked by (shift, center 3-cycle)."""
@@ -215,6 +235,40 @@ class AZOracle(MarkedGroupOracle):
     def is_identity(self, handle) -> bool:
         return handle.is_identity
 
+    def kernel_mask(self, ball: Ball) -> np.ndarray:
+        """Kernel on a ball of radius R, evaluated on windows of integers.
+
+        A word w of length <= R dies iff it fixes every x with |x| <= R + 1.
+        Before a point can meet the 3-cycle's support {-1, 0, 1} it must be
+        shifted to within distance 1 of 0; from |x| > R that takes at least R
+        shift letters and leaves none for the 3-cycle, so such a point is only
+        shifted: w(x) = x + t, where t is the shift of w.  Fixing R + 1 forces
+        t = 0, and then w fixes every |x| > R as well.
+
+        A level-k word is its parent followed by one letter, and w(x) =
+        parent(letter(x)) with |letter(x)| <= |x| + 1.  So level k holds the
+        images of the window |x| <= 2R + 1 - k, which still contains the
+        test window |x| <= R + 1 at level R.
+        """
+        if ball.rank != self.rank:
+            raise ValueError(f"rank mismatch: ball {ball.rank} vs oracle {self.rank}")
+        r = ball.radius
+        top = 2 * r + 1
+        letters = {l: self.letter_element(l) for l in (1, -1, 2, -2)}
+
+        def columns(k):
+            half = top - k  # the parent's window has half-width half + 1
+            return {l: np.array([g.apply(x) + half + 1 for x in range(-half, half + 1)])
+                    for l, g in letters.items()}
+
+        test = np.arange(-(r + 1), r + 2)
+        root = np.arange(-top, top + 1, dtype=np.min_scalar_type(-3 * top))
+        masks = []
+        for k, rows in enumerate(evaluate_levels(2, r, root, columns)):
+            lo = top - k - (r + 1)
+            masks.append((rows[:, lo:lo + len(test)] == test).all(axis=1))
+        return np.concatenate(masks)
+
 
 class DiagonalOracle(MarkedGroupOracle):
     """Coordinatewise evaluation in a finite list of marked finite factors."""
@@ -235,6 +289,9 @@ class DiagonalOracle(MarkedGroupOracle):
 
     def is_identity(self, handle) -> bool:
         return all(p.is_identity for p in handle)
+
+    def kernel_mask(self, ball: Ball) -> np.ndarray:
+        return np.logical_and.reduce([_identity_mask(f, ball) for f in self.factors])
 
 
 def az_oracle() -> AZOracle:

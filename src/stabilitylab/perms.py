@@ -11,7 +11,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .words import ReducedWord, WordSet
+import numpy as np
+
+from .words import Ball, ReducedWord, WordSet, evaluate_levels
 
 
 @dataclass(frozen=True)
@@ -172,6 +174,25 @@ def word_eval(word: ReducedWord, gens: GenTuple) -> Perm:
     for letter in word.letters:
         out = out * gens.letter_perm(letter)
     return out
+
+
+def ball_images(gens: GenTuple, ball: Ball) -> np.ndarray:
+    """Image arrays of every ball word at the tuple: row j is
+    ``word_eval(ball.words[j], gens).images``.
+
+    Built one radius level at a time (each row is its parent's row gathered
+    through the image array of the last letter) in the narrowest unsigned
+    dtype that holds the degree.  :func:`word_eval` is the reference.
+    """
+    if ball.rank != gens.rank:
+        raise ValueError(f"rank mismatch: ball {ball.rank} vs tuple {gens.rank}")
+    images = {}
+    for i, p in enumerate(gens.perms, start=1):
+        images[i] = np.array(p.images, dtype=np.intp)
+        images[-i] = np.argsort(images[i])
+    root = np.arange(gens.degree, dtype=np.min_scalar_type(max(gens.degree - 1, 0)))
+    return np.concatenate(list(evaluate_levels(ball.rank, ball.radius, root,
+                                               lambda k: images)))
 
 
 def tuple_distance(a: GenTuple, b: GenTuple) -> Fraction:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .words import ResourceLimitError
+from .words import InvariantError, ResourceLimitError
 
 RESOLUTION_CAP = 64
 _STRING_CAP = 4_000_000
@@ -458,7 +458,8 @@ def _frequency_table(sub: Substitution, length: int, threshold: Fraction,
     prev: dict[str, Fraction] | None = None
     while True:
         windows = total[seed] - k + 1
-        assert sum(counts[seed].values()) == windows  # no window lost or doubled
+        if sum(counts[seed].values()) != windows:
+            raise InvariantError("a factor window was lost or doubled")
         freq = {w: Fraction(c, windows) for w, c in counts[seed].items()}
         if prev is not None and set(freq) == want_keys:
             worst = max(abs(freq.get(w, Fraction(0)) - prev.get(w, Fraction(0)))

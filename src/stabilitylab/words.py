@@ -10,12 +10,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 MAX_RANK = 26
 DEFAULT_BALL_CAP = 10**6
 
 
 class ResourceLimitError(RuntimeError):
     """A configured size cap (ball size, closure size, depth, ...) would be exceeded."""
+
+
+class InvariantError(RuntimeError):
+    """A library invariant failed: a bug in stabilitylab, not bad input."""
 
 
 def reduce_letters(letters) -> tuple[int, ...]:
@@ -143,6 +149,45 @@ class Ball:
         return iter(self.words)
 
 
+def ball_levels(rank: int, radius: int):
+    """Parent index and last letter of every word of the ball, level by level.
+
+    Yields, for k = 1..radius, integer arrays ``(parents, letters)``: word i
+    of level k is word ``parents[i]`` of level k-1 followed by the letter
+    ``letters[i]``.  Within a level the words come parent by parent, each
+    parent's children in the letter order a, A, b, B, ..., which is the order
+    of :func:`enumerate_ball` and of :meth:`ReducedWord.sort_key`.
+    """
+    order = np.array([l for i in range(1, rank + 1) for l in (i, -i)])
+    last = np.zeros(1, dtype=order.dtype)
+    for _ in range(radius):
+        parents, columns = np.nonzero(order[None, :] != -last[:, None])
+        last = order[columns]
+        yield parents, last
+
+
+def evaluate_levels(rank: int, radius: int, root, columns):
+    """Evaluate every word of the ball as a row of values, one level at a time.
+
+    ``root`` is the row of the empty word.  A word's row is its parent's row
+    gathered through an index array of its last letter, ``columns(k)[letter]``
+    for a word of level k; for a permutation action that array is the
+    letter's image array, because the right-most letter acts first.  Yields
+    one array per level k = 0..radius, rows in :func:`enumerate_ball` order.
+    Only the previous level is kept alive.
+    """
+    rows = np.asarray(root)[None, :]
+    yield rows
+    for k, (parents, letters) in enumerate(ball_levels(rank, radius), start=1):
+        cols = columns(k)
+        child = np.empty((len(parents), len(cols[1])), dtype=rows.dtype)
+        for letter, col in cols.items():
+            sel = letters == letter
+            child[sel] = rows[np.ix_(parents[sel], col)]
+        rows = child
+        yield rows
+
+
 def enumerate_ball(rank: int, radius: int, cap: int = DEFAULT_BALL_CAP) -> Ball:
     """Enumerate the closed ball of the given radius in the rank-d free group.
 
@@ -153,19 +198,13 @@ def enumerate_ball(rank: int, radius: int, cap: int = DEFAULT_BALL_CAP) -> Ball:
     size = ball_size(rank, radius)
     if size > cap:
         raise ResourceLimitError(f"ball of size {size} exceeds cap {cap}")
-    letter_order = [l for i in range(1, rank + 1) for l in (i, -i)]
     words: list[ReducedWord] = [identity(rank)]
     level: list[tuple[int, ...]] = [()]
-    for _ in range(radius):
-        nxt: list[tuple[int, ...]] = []
-        for parent in level:
-            last = parent[-1] if parent else 0
-            for letter in letter_order:
-                if letter != -last:
-                    nxt.append(parent + (letter,))
-        words.extend(ReducedWord(rank, ls) for ls in nxt)
-        level = nxt
-    assert len(words) == size
+    for parents, letters in ball_levels(rank, radius):
+        level = [level[p] + (l,) for p, l in zip(parents.tolist(), letters.tolist())]
+        words.extend(ReducedWord(rank, ls) for ls in level)
+    if len(words) != size:
+        raise InvariantError(f"enumerated {len(words)} words, closed form says {size}")
     return Ball(rank, radius, tuple(words))
 
 
@@ -205,9 +244,12 @@ def kernel_fingerprint(oracle, radius: int, ball: Ball | None = None,
                        cap: int = DEFAULT_BALL_CAP) -> WordSet:
     """Ball words that the marked-group oracle evaluates to the identity.
 
-    ``oracle`` needs ``rank``, ``evaluate(word)`` and ``is_identity(handle)``.
-    The result contains the empty word and is closed under inversion and under
-    products that stay inside the ball.
+    ``oracle`` needs ``rank`` and ``kernel_mask(ball)``, a boolean array over
+    ``ball.words`` that is true where the word dies (see
+    :class:`stabilitylab.marked.MarkedGroupOracle`, whose scalar default uses
+    ``evaluate(word)`` and ``is_identity(handle)``).  The result contains the
+    empty word and is closed under inversion and under products that stay
+    inside the ball.
     """
     if ball is None:
         ball = enumerate_ball(oracle.rank, radius, cap=cap)
@@ -215,8 +257,8 @@ def kernel_fingerprint(oracle, radius: int, ball: Ball | None = None,
         raise ValueError(f"rank mismatch: ball {ball.rank} vs oracle {oracle.rank}")
     if ball.radius < radius:
         raise ValueError("ball radius smaller than requested fingerprint radius")
-    members = frozenset(
-        w for w in ball.words
-        if len(w) <= radius and oracle.is_identity(oracle.evaluate(w))
-    )
-    return WordSet(radius, members)
+    if ball.radius > radius:  # the words of length <= radius come first
+        ball = Ball(ball.rank, radius, ball.words[:ball_size(ball.rank, radius)])
+    mask = oracle.kernel_mask(ball)
+    return WordSet(radius, frozenset(w for w, dead in zip(ball.words, mask.tolist())
+                                     if dead))

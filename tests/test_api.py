@@ -1,5 +1,8 @@
 """The curated package surface stays importable and usable."""
 
+import ast
+from pathlib import Path
+
 import stabilitylab as sl
 
 
@@ -17,3 +20,18 @@ def test_public_api_round_trip():
 
 def test_version():
     assert sl.__version__
+
+
+def test_invariant_error_is_a_runtime_error():
+    assert issubclass(sl.InvariantError, RuntimeError)
+    assert not issubclass(sl.InvariantError, sl.ResourceLimitError)
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert, so library invariants raise InvariantError
+    found = []
+    for path in sorted(Path(sl.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

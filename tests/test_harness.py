@@ -70,6 +70,14 @@ class TestCLI:
         assert "size=5" in text  # the flag beat the config file
         assert len(text.splitlines()) == 5
 
+    @pytest.mark.parametrize("command", ["alt-convergence", "fullgroup-embed",
+                                         "fullgroup-irs"])
+    def test_unused_seed_option_is_rejected(self, command, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "1", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_unknown_config_field(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("bogus=1\n")

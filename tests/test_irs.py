@@ -13,7 +13,8 @@ from stabilitylab.irs import (CylinderFingerprint, EmpiricalIRS, FiniteGSet,
                               trivial_gset, tv_standard_error, vershik_irs)
 from stabilitylab.perms import (GenTuple, Perm, alt_marking, generate_closure,
                                 identity_perm, word_eval)
-from stabilitylab.words import enumerate_ball, identity, word_from_string
+from stabilitylab.words import (ResourceLimitError, enumerate_ball, identity,
+                                word_from_string)
 
 HALF = Fraction(1, 2)
 
@@ -64,8 +65,41 @@ class TestFingerprint:
             for x in range(X.size):
                 fingerprint(X.action, x, ball).validate()
 
+    def test_matches_scalar_evaluation(self):
+        rng = random.Random(1)
+        for rank, radius in ((1, 4), (2, 3), (3, 2)):
+            ball = enumerate_ball(rank, radius)
+            X = random_gset(rng, 9, rank)
+            perms = [word_eval(word, X.action) for word in ball.words]
+            for x in range(X.size):
+                expected = [word for word, p in zip(ball.words, perms) if p(x) == x]
+                assert fingerprint(X.action, x, ball).words == tuple(expected)
+
+    def test_membership_is_cached_without_changing_equality(self):
+        ball = enumerate_ball(2, 2)
+        fp = fingerprint(trivial_gset(2, 1).action, 0, ball)
+        fresh = CylinderFingerprint(fp.radius, fp.words)
+        assert all(word in fp for word in ball.words)
+        assert w("aaa") not in fp
+        assert fp._members is fp._members
+        assert fp == fresh and hash(fp) == hash(fresh)
+        assert repr(fp) == repr(fresh)
+
 
 class TestIrsOfGSet:
+    def test_matches_scalar_evaluation(self):
+        rng = random.Random(2)
+        ball = enumerate_ball(2, 3)
+        for size in (1, 7, 40):
+            X = random_gset(rng, size)
+            perms = [word_eval(word, X.action) for word in ball.words]
+            masses: dict = {}
+            for x in range(size):
+                fp = CylinderFingerprint.from_words(
+                    3, [word for word, p in zip(ball.words, perms) if p(x) == x])
+                masses[fp] = masses.get(fp, Fraction(0)) + Fraction(1, size)
+            assert irs_of_gset(X, 3).masses == masses
+
     def test_trivial_action(self):
         irs = irs_of_gset(trivial_gset(2, 5), 2)
         [fp] = irs.support()
@@ -257,6 +291,15 @@ class TestSampling:
             raise KeyError("boom")
 
         with pytest.raises(RuntimeError, match="sample 0"):
+            sample_irs(sampler, lambda word, x: True, ball, 3, seed=0)
+
+    def test_resource_limit_propagates_unwrapped(self):
+        ball = enumerate_ball(2, 1)
+
+        def sampler(rng):
+            raise ResourceLimitError("cap hit")
+
+        with pytest.raises(ResourceLimitError, match="cap hit"):
             sample_irs(sampler, lambda word, x: True, ball, 3, seed=0)
 
     def test_self_consistency_as_samples_grow(self):

@@ -2,12 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabilitylab.marked import (AZ_IDENTITY, TrivialOracle, TruncatedDiagonalProduct,
-                                 alt_oracle, az_from_cycles, az_oracle, az_shift,
-                                 convergence_table, marked_nu, neumann_truncation,
-                                 oracle_by_name, tail_defect)
+from stabilitylab.marked import (AZ_IDENTITY, MarkedGroupOracle, TrivialOracle,
+                                 TruncatedDiagonalProduct, alt_oracle, az_from_cycles,
+                                 az_oracle, az_shift, convergence_table, marked_nu,
+                                 neumann_truncation, oracle_by_name, tail_defect)
 from stabilitylab.perms import alt_marking
-from stabilitylab.words import (identity, kernel_fingerprint, reduce,
+from stabilitylab.words import (enumerate_ball, identity, kernel_fingerprint, reduce,
                                 word_from_string)
 
 words_st = st.lists(st.integers(-2, 2).filter(bool), max_size=10).map(
@@ -134,6 +134,43 @@ class TestConvergenceTable:
         values = [nu.value for _, nu in rows]
         assert values == sorted(values)
         assert values[-1] > values[0]
+
+    def test_radius_ten(self):
+        # nu(alt:n, az) = 2n until the radius-10 ball saturates, from n = 5
+        rows = convergence_table([alt_oracle(r) for r in range(2, 7)], az_oracle(), 10)
+        assert [(name, nu.value, nu.saturated) for name, nu in rows] == [
+            ("alt:2", 4, False), ("alt:3", 6, False), ("alt:4", 8, False),
+            ("alt:5", 10, True), ("alt:6", 10, True)]
+
+
+class TestKernelMask:
+    """Each override agrees with the scalar default of the base class."""
+
+    @pytest.mark.parametrize("r", range(2, 9))
+    def test_alt(self, r):
+        ball = enumerate_ball(2, 6)
+        oracle = alt_oracle(r)
+        assert (oracle.kernel_mask(ball) ==
+                MarkedGroupOracle.kernel_mask(oracle, ball)).all()
+
+    @pytest.mark.parametrize("radius", range(9))
+    def test_az(self, radius):
+        ball = enumerate_ball(2, radius)
+        oracle = az_oracle()
+        assert (oracle.kernel_mask(ball) ==
+                MarkedGroupOracle.kernel_mask(oracle, ball)).all()
+
+    def test_neumann_truncation(self):
+        ball = enumerate_ball(2, 6)
+        oracle = neumann_truncation(0, 4).oracle()
+        mask = oracle.kernel_mask(ball)
+        assert (mask == MarkedGroupOracle.kernel_mask(oracle, ball)).all()
+        assert mask.sum() > 1  # the factors share kernel words beyond e
+
+    def test_rank_mismatch(self):
+        for oracle in (alt_oracle(2), az_oracle(), neumann_truncation(0, 2).oracle()):
+            with pytest.raises(ValueError):
+                oracle.kernel_mask(enumerate_ball(3, 1))
 
 
 class TestDiagonal:

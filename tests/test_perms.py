@@ -1,15 +1,17 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabilitylab.perms import (GenTuple, Perm, alt_marking, check_almost_solution,
-                                check_separating, generate_closure, hamming_distance,
-                                identity_perm, parse_perm, perm_from_cycles,
-                                perm_to_line, tuple_distance, word_eval)
-from stabilitylab.words import WordSet, identity, word_from_string
+from stabilitylab.perms import (GenTuple, Perm, alt_marking, ball_images,
+                                check_almost_solution, check_separating,
+                                generate_closure, hamming_distance, identity_perm,
+                                parse_perm, perm_from_cycles, perm_to_line,
+                                tuple_distance, word_eval)
+from stabilitylab.words import WordSet, enumerate_ball, identity, word_from_string
 
 perm5 = st.permutations(range(5)).map(lambda xs: Perm(tuple(xs)))
 
@@ -196,3 +198,31 @@ class TestAltMarking:
     def test_rejects_small_r(self):
         with pytest.raises(ValueError):
             alt_marking(1)
+
+
+@st.composite
+def actions(draw):
+    degree = draw(st.integers(1, 12))
+    rank = draw(st.integers(1, 3))
+    perm = st.permutations(range(degree)).map(lambda xs: Perm(tuple(xs)))
+    return GenTuple(tuple(draw(perm) for _ in range(rank)))
+
+
+class TestBallImages:
+    @settings(max_examples=40, deadline=None)
+    @given(actions(), st.integers(0, 4))
+    def test_rows_match_word_eval(self, gens, radius):
+        ball = enumerate_ball(gens.rank, radius)
+        images = ball_images(gens, ball)
+        assert images.shape == (len(ball), gens.degree)
+        assert [tuple(row) for row in images.tolist()] == [
+            word_eval(word, gens).images for word in ball.words]
+
+    def test_narrow_dtype(self):
+        assert ball_images(alt_marking(2), enumerate_ball(2, 2)).dtype == np.uint8
+        wide = GenTuple((identity_perm(300), identity_perm(300)))
+        assert ball_images(wide, enumerate_ball(2, 1)).dtype == np.uint16
+
+    def test_rank_mismatch(self):
+        with pytest.raises(ValueError):
+            ball_images(alt_marking(2), enumerate_ball(3, 1))
