@@ -18,7 +18,9 @@ import json
 import random
 from dataclasses import dataclass
 
-from .irs import CylinderFingerprint, EmpiricalIRS
+import numpy as np
+
+from .irs import EmpiricalIRS, fingerprint_masses
 from .perms import Perm
 from .subshift import (ClopenSet, ErgodicMeasure, KRPartition, Substitution,
                        full_set, is_partition, kr_partition, refine_kr)
@@ -175,7 +177,7 @@ class SymbolicPoint:
         for part, exponent in g.parts:
             if self.in_set(part):
                 return exponent
-        raise AssertionError("table parts failed to cover a point")
+        raise InvariantError("table parts failed to cover a point")
 
     def apply(self, g: TableElement) -> "SymbolicPoint":
         return SymbolicPoint(self.text, self.origin + self.cocycle(g))
@@ -480,27 +482,32 @@ def fullgroup_irs(partition: KRPartition, generators, k: int, radius: int,
     report = embedding or local_embedding(generators, radius, partition)
     if not report.passed:
         raise ValueError(report.recommendation)
-    rank = len(list(generators))
-    ball = enumerate_ball(rank, radius)
-    atoms = partition.atoms()
-    atom_mass = [measure.measure(partition.towers[a.tower].base) for a in atoms]
-    fixing: list[frozenset] = []
-    perms = [report.entries[report.word_to_index[w]].image.perm for w in ball.words]
-    for idx in range(len(atoms)):
-        fixing.append(frozenset(w for w, p in zip(ball.words, perms)
-                                if p(idx) == idx))
-    masses: dict[CylinderFingerprint, float] = {}
-    for combo in itertools.product(range(len(atoms)), repeat=k):
-        words = fixing[combo[0]]
-        for idx in combo[1:]:
-            words = words & fixing[idx]
-        mass = 1.0
-        for idx in combo:
-            mass *= atom_mass[idx]
-        fp = CylinderFingerprint.from_words(radius, words)
-        masses[fp] = masses.get(fp, 0.0) + mass
-    slack = k * len(atoms) * measure.tolerance + 1e-9
+    ball, fixed, atom_mass = _atom_fixation(partition, generators, radius,
+                                            measure, report)
+
+    def blocks():
+        # one block per choice of the first k-1 atoms, in itertools.product order
+        for prefix in itertools.product(range(len(atom_mass)), repeat=k - 1):
+            mass = 1.0
+            for idx in prefix:
+                mass *= atom_mass[idx]
+            rows = fixed & fixed[list(prefix)].all(axis=0)
+            yield rows, [mass * m for m in atom_mass]
+
+    masses = fingerprint_masses(ball, blocks())
+    slack = k * len(atom_mass) * measure.tolerance + 1e-9
     return EmpiricalIRS(radius, masses, exact=False, sum_tolerance=slack)
+
+
+def _atom_fixation(partition, generators, radius, measure, report):
+    """The ball, its (atoms x ball) fixation matrix read off the embedding's
+    atom permutations, and each atom's mass (that of its tower base)."""
+    ball = enumerate_ball(len(list(generators)), radius)
+    images = np.array([report.image_of(w).perm.images for w in ball.words])
+    fixed = (images == np.arange(images.shape[1])).T
+    atom_mass = [measure.measure(partition.towers[a.tower].base)
+                 for a in partition.atoms()]
+    return ball, fixed, atom_mass
 
 
 @dataclass(frozen=True)
@@ -559,18 +566,12 @@ def fullgroup_irs_limit_check(sub: Substitution, generators, k: int, radius: int
 
 def _first_coordinate_marginal(partition, generators, k, radius, measure,
                                report) -> EmpiricalIRS:
-    rank = len(list(generators))
-    ball = enumerate_ball(rank, radius)
-    atoms = partition.atoms()
-    atom_mass = [measure.measure(partition.towers[a.tower].base) for a in atoms]
-    perms = [report.entries[report.word_to_index[w]].image.perm for w in ball.words]
+    ball, fixed, atom_mass = _atom_fixation(partition, generators, radius,
+                                            measure, report)
     total = sum(atom_mass)
-    masses: dict[CylinderFingerprint, float] = {}
-    for idx in range(len(atoms)):
-        fp = CylinderFingerprint.from_words(
-            radius, [w for w, p in zip(ball.words, perms) if p(idx) == idx])
-        masses[fp] = masses.get(fp, 0.0) + atom_mass[idx] * total ** (k - 1)
-    slack = k * len(atoms) * measure.tolerance + 1e-9
+    masses = fingerprint_masses(
+        ball, [(fixed, [m * total ** (k - 1) for m in atom_mass])])
+    slack = k * len(atom_mass) * measure.tolerance + 1e-9
     return EmpiricalIRS(radius, masses, exact=False, sum_tolerance=slack)
 
 

@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "stabilizer distributions and tower partitions")
     subparsers = parser.add_subparsers(dest="command", required=True)
     for name, (_, defaults) in COMMANDS.items():
-        sp = subparsers.add_parser(name)
+        sp = subparsers.add_parser(name, allow_abbrev=False)
         sp.add_argument("--config", help="flat key=value file; flags win")
         for key, default in defaults.items():
             flag = "--" + key.replace("_", "-")

@@ -18,7 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .perms import GenTuple, Perm, alt_marking, ball_images, identity_perm
+from .perms import (GenTuple, Perm, alt_marking, ball_images, generate_closure,
+                    identity_perm)
 from .words import (Ball, InvariantError, ReducedWord, ResourceLimitError,
                     enumerate_ball, identity, word_from_string, word_to_string)
 
@@ -238,8 +239,33 @@ def gset_from_json(text: str) -> FiniteGSet:
     return gset
 
 
-def _fixed_words(ball: Ball, fixed) -> list[ReducedWord]:
-    return list(itertools.compress(ball.words, fixed.tolist()))
+def fingerprint_masses(ball: Ball, blocks) -> dict:
+    """Summed weight of each fingerprint over blocks of fixation rows.
+
+    Each block is a pair (rows, weights): ``rows`` is a boolean array with one
+    row per point and one column per word of ``ball``, true where the word
+    fixes the point, and ``weights`` holds one weight per row.  Equal rows are
+    grouped by their packed bytes; weights are added in block and row order,
+    so float sums are reproducible.
+    """
+    sums: dict = {}
+    for rows, weights in blocks:
+        packed = np.ascontiguousarray(np.packbits(rows, axis=1))
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
+        for key, weight in zip(keys, weights):
+            sums[key] = sums.get(key, 0) + weight
+    masses = {}
+    for key, weight in sums.items():
+        row = np.unpackbits(np.frombuffer(key, np.uint8), count=len(ball))
+        fixed = itertools.compress(ball.words, row.tolist())
+        masses[CylinderFingerprint.from_words(ball.radius, fixed)] = weight
+    return masses
+
+
+def _check_ball(ball: Ball, rank: int, radius: int) -> None:
+    if ball.rank != rank or ball.radius != radius:
+        raise ValueError(f"ball of rank {ball.rank} and radius {ball.radius} "
+                         f"does not match rank {rank} and radius {radius}")
 
 
 def fingerprint(action: GenTuple, x: int, ball: Ball) -> CylinderFingerprint:
@@ -247,17 +273,18 @@ def fingerprint(action: GenTuple, x: int, ball: Ball) -> CylinderFingerprint:
     if not 0 <= x < action.degree:
         raise ValueError(f"point {x} outside range({action.degree})")
     fixed = ball_images(action, ball)[:, x] == x
-    return CylinderFingerprint.from_words(ball.radius, _fixed_words(ball, fixed))
+    (fp,) = fingerprint_masses(ball, [(fixed[None, :], [1])])
+    return fp
 
 
 def irs_of_gset(gset: FiniteGSet, radius: int, ball: Ball | None = None) -> EmpiricalIRS:
     """Exact stabilizer-fingerprint distribution of the uniform point measure."""
     if ball is None:
         ball = enumerate_ball(gset.rank, radius)
+    _check_ball(ball, gset.rank, radius)
     fixed = ball_images(gset.action, ball) == np.arange(gset.size)
-    rows, counts = np.unique(fixed.T, axis=0, return_counts=True)
-    masses = {CylinderFingerprint.from_words(radius, _fixed_words(ball, row)):
-              Fraction(count, gset.size) for row, count in zip(rows, counts.tolist())}
+    counts = fingerprint_masses(ball, [(fixed.T, [1] * gset.size)])
+    masses = {fp: Fraction(count, gset.size) for fp, count in counts.items()}
     return EmpiricalIRS(radius, masses, exact=True)
 
 
@@ -301,6 +328,7 @@ def point_mass_irs(rank: int, radius: int, full: bool,
     """Point mass on the whole group (full ball) or on the trivial subgroup."""
     if ball is None:
         ball = enumerate_ball(rank, radius)
+    _check_ball(ball, rank, radius)
     words = ball.words if full else (identity(rank),)
     fp = CylinderFingerprint.from_words(radius, words)
     return EmpiricalIRS(radius, {fp: Fraction(1)}, exact=True)
@@ -308,28 +336,6 @@ def point_mass_irs(rank: int, radius: int, full: bool,
 
 # ---------------------------------------------------------------------------
 # atomic IRS realized by coset actions
-
-def subgroup_closure(generators, size_cap: int = 10**6) -> frozenset:
-    """Closure of a set of permutations under multiplication."""
-    gens = list(generators)
-    if not gens:
-        raise ValueError("pass at least one permutation (the identity for the "
-                         "trivial subgroup)")
-    seen = {identity_perm(gens[0].degree)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s in gens:
-                h = g * s
-                if h not in seen:
-                    if len(seen) >= size_cap:
-                        raise ResourceLimitError("subgroup closure exceeds cap")
-                    seen.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return frozenset(seen)
-
 
 def coset_action(elements, marking: GenTuple, subgroup: frozenset) -> FiniteGSet:
     """Left-coset action of the marked finite group on G/H."""
@@ -355,7 +361,8 @@ def realize_irs_as_gset(elements, marking: GenTuple, atoms,
     ``elements`` is the deterministic closure list of the ambient finite group,
     ``marking`` its generator tuple, and each atom is a pair (indices of
     subgroup generators into ``elements``, rational weight).  Weights must sum
-    to 1; denominators are cleared by repeating coset spaces.
+    to 1; denominators are cleared by repeating coset spaces.  ``size_cap``
+    bounds both each subgroup closure and the number of points.
     """
     elements = list(elements)
     parsed = []
@@ -366,8 +373,10 @@ def realize_irs_as_gset(elements, marking: GenTuple, atoms,
         for idx in gen_indices:
             if not 0 <= idx < len(elements):
                 raise ValueError(f"generator index {idx} outside the closure list")
-        subgroup = subgroup_closure([elements[i] for i in gen_indices] or
-                                    [identity_perm(marking.degree)])
+        gens = [elements[i] for i in gen_indices] or [identity_perm(marking.degree)]
+        subgroup = generate_closure(GenTuple(tuple(gens)), size_cap)
+        if subgroup.truncated:
+            raise ResourceLimitError(f"subgroup closure exceeds cap {size_cap}")
         if len(elements) % len(subgroup):
             raise ValueError("input does not generate a subgroup of the closure")
         parsed.append((subgroup, weight))
@@ -391,7 +400,7 @@ def realize_irs_as_gset(elements, marking: GenTuple, atoms,
             continue
         index = len(elements) // len(subgroup)
         copies = int(weight * n_total / index)
-        action = coset_action(elements, marking, subgroup)
+        action = coset_action(elements, marking, subgroup.elements)
         parts.extend([action] * copies)
     return disjoint_union(*parts)
 
@@ -432,18 +441,23 @@ def sample_irs(point_sampler, fixes, ball: Ball, n_samples: int,
     if n_samples < 1:
         raise ValueError("need n_samples >= 1")
     rng = random.Random(seed)
-    counts: dict[CylinderFingerprint, int] = {}
+    rows = np.empty((n_samples, len(ball)), dtype=bool)
     for i in range(n_samples):
         try:
             point = point_sampler(rng)
-            fixed = [w for w in ball.words if fixes(w, point)]
+            rows[i] = [fixes(w, point) for w in ball.words]
         except ResourceLimitError:
             raise
         except Exception as exc:
             raise RuntimeError(f"sampler failed at sample {i}") from exc
-        fp = CylinderFingerprint.from_words(ball.radius, fixed)
-        counts[fp] = counts.get(fp, 0) + 1
-    masses = {fp: c / n_samples for fp, c in counts.items()}
+    return _sampled_irs(ball, rows)
+
+
+def _sampled_irs(ball: Ball, rows) -> EmpiricalIRS:
+    """Empirical distribution of fixation rows, one row per sample."""
+    n_samples = len(rows)
+    counts = fingerprint_masses(ball, [(rows, [1] * n_samples)])
+    masses = {fp: count / n_samples for fp, count in counts.items()}
     stderrs = {fp: _stderr(m, n_samples) for fp, m in masses.items()}
     return EmpiricalIRS(ball.radius, masses, exact=False,
                         n_samples=n_samples, stderrs=stderrs,
@@ -485,73 +499,19 @@ def vershik_irs(alpha, target: str, radius: int = 2, mode: str = "exact",
     weights = _parse_alpha(alpha)
     ball = enumerate_ball(2, radius)
     if target == "az":
-        return _vershik_az(weights, ball, mode, window, n_samples, seed,
-                           enumeration_cap)
-    if target.startswith("alt:"):
-        n = int(target.split(":")[1])
-        return _vershik_alt(weights, n, ball, mode, n_samples, seed,
-                            enumeration_cap)
-    raise ValueError(f"unknown vershik target {target!r}")
+        pairs, size = _az_window_pairs(ball, window)
+    elif target.startswith("alt:"):
+        marking = _alt_like_marking(int(target.split(":")[1]))
+        size = marking.degree
+        pairs = [(np.arange(size), row) for row in ball_images(marking, ball)]
+    else:
+        raise ValueError(f"unknown vershik target {target!r}")
+    return _vershik(weights, pairs, size, ball, mode, n_samples, seed,
+                    enumeration_cap)
 
 
-def _finish_exact(radius, ball, mass_by_key) -> EmpiricalIRS:
-    masses: dict = {}
-    for key, m in mass_by_key.items():
-        fp = CylinderFingerprint.from_words(
-            radius, [w for w, keep in zip(ball.words, key) if keep])
-        masses[fp] = masses.get(fp, Fraction(0)) + m
-    return EmpiricalIRS(radius, masses, exact=True)
-
-
-def _finish_sampled(radius, ball, bool_matrix, n_samples) -> EmpiricalIRS:
-    rows, counts = np.unique(bool_matrix, axis=0, return_counts=True)
-    masses: dict = {}
-    stderrs: dict = {}
-    for row, count in zip(rows, counts):
-        fp = CylinderFingerprint.from_words(
-            radius, [w for w, keep in zip(ball.words, row) if keep])
-        masses[fp] = masses.get(fp, 0.0) + float(count) / n_samples
-    for fp, m in masses.items():
-        stderrs[fp] = _stderr(m, n_samples)
-    return EmpiricalIRS(radius, masses, exact=False, n_samples=n_samples,
-                        stderrs=stderrs, sum_tolerance=1e-9)
-
-
-def _vershik_alt(weights, n, ball, mode, n_samples, seed, cap) -> EmpiricalIRS:
-    marking = _alt_like_marking(n)
-    degree = marking.degree
-    images = ball_images(marking, ball)
-    n_colors = len(weights)
-    if mode == "exact":
-        if n_colors ** degree > cap:
-            raise ResourceLimitError(
-                f"{n_colors}**{degree} colorings exceed the enumeration cap")
-        rows = images.tolist()
-        mass_by_key: dict = {}
-        for coloring in itertools.product(range(n_colors), repeat=degree):
-            m = Fraction(1)
-            for c in coloring:
-                m *= weights[c]
-            if m == 0:
-                continue
-            key = tuple(all(coloring[y] == coloring[x] for x, y in enumerate(row))
-                        for row in rows)
-            mass_by_key[key] = mass_by_key.get(key, Fraction(0)) + m
-        return _finish_exact(ball.radius, ball, mass_by_key)
-    if mode == "sampled":
-        if not n_samples or seed is None:
-            raise ValueError("sampled mode needs n_samples and seed")
-        rng = np.random.default_rng(seed)
-        p = np.array([float(a) for a in weights])
-        colorings = rng.choice(n_colors, size=(n_samples, degree), p=p / p.sum())
-        cols = np.empty((n_samples, len(images)), dtype=bool)
-        for j, row in enumerate(images):
-            cols[:, j] = (colorings[:, row] == colorings).all(axis=1)
-        return _finish_sampled(ball.radius, ball, cols, n_samples)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _vershik_az(weights, ball, mode, window, n_samples, seed, cap) -> EmpiricalIRS:
+def _az_window_pairs(ball: Ball, window: int | None):
+    """Per ball word, the window indices (x, g(x)) with both ends inside."""
     from .marked import az_oracle
 
     oracle = az_oracle()
@@ -566,8 +526,6 @@ def _vershik_az(weights, ball, mode, window, n_samples, seed, cap) -> EmpiricalI
     if window < needed:
         raise ValueError(
             f"window half-width {window} too small: ball elements reach {needed}")
-    size = 2 * window + 1
-    # index pairs (x, g(x)) with both endpoints inside the window
     pairs = []
     for el in elements:
         src, dst = [], []
@@ -576,32 +534,48 @@ def _vershik_az(weights, ball, mode, window, n_samples, seed, cap) -> EmpiricalI
             if -window <= y <= window:
                 src.append(x + window)
                 dst.append(y + window)
-        pairs.append((src, dst))
+        pairs.append((np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)))
+    return pairs, 2 * window + 1
+
+
+def _fixation_rows(colorings, pairs) -> np.ndarray:
+    """Row per coloring, column per word: is the coloring constant along
+    every (x, g(x)) pair of the word?"""
+    rows = np.empty((len(colorings), len(pairs)), dtype=bool)
+    for j, (src, dst) in enumerate(pairs):
+        rows[:, j] = (colorings[:, dst] == colorings[:, src]).all(axis=1)
+    return rows
+
+
+def _vershik(weights, pairs, size, ball, mode, n_samples, seed,
+             cap) -> EmpiricalIRS:
+    """Fingerprint distribution of colorings of ``size`` points by ``weights``;
+    ``pairs[j]`` holds the (x, g(x)) index arrays of ball word j."""
     n_colors = len(weights)
+    dtype = np.min_scalar_type(n_colors - 1)
     if mode == "exact":
         if n_colors ** size > cap:
             raise ResourceLimitError(
                 f"{n_colors}**{size} colorings exceed the enumeration cap")
-        mass_by_key: dict = {}
-        for coloring in itertools.product(range(n_colors), repeat=size):
-            m = Fraction(1)
-            for c in coloring:
-                m *= weights[c]
-            if m == 0:
-                continue
-            key = tuple(all(coloring[d] == coloring[s] for s, d in zip(*pair))
-                        for pair in pairs)
-            mass_by_key[key] = mass_by_key.get(key, Fraction(0)) + m
-        return _finish_exact(ball.radius, ball, mass_by_key)
+        # colorings using a weight-0 color have mass 0 and are skipped; the
+        # rest stream in chunks so memory stays bounded up to the cap
+        colors = [c for c, a in enumerate(weights) if a]
+        colorings = itertools.product(colors, repeat=size)
+
+        def blocks():
+            while chunk := list(itertools.islice(colorings, 1 << 14)):
+                masses = [math.prod(weights[c] for c in coloring)
+                          for coloring in chunk]
+                yield _fixation_rows(np.array(chunk, dtype=dtype), pairs), masses
+
+        masses = fingerprint_masses(ball, blocks())
+        return EmpiricalIRS(ball.radius, masses, exact=True)
     if mode == "sampled":
         if not n_samples or seed is None:
             raise ValueError("sampled mode needs n_samples and seed")
         rng = np.random.default_rng(seed)
         p = np.array([float(a) for a in weights])
-        colorings = rng.choice(n_colors, size=(n_samples, size), p=p / p.sum())
-        cols = np.empty((n_samples, len(elements)), dtype=bool)
-        for j, (src, dst) in enumerate(pairs):
-            src_a, dst_a = np.array(src, dtype=int), np.array(dst, dtype=int)
-            cols[:, j] = (colorings[:, dst_a] == colorings[:, src_a]).all(axis=1)
-        return _finish_sampled(ball.radius, ball, cols, n_samples)
+        colorings = rng.choice(n_colors, size=(n_samples, size),
+                               p=p / p.sum()).astype(dtype)
+        return _sampled_irs(ball, _fixation_rows(colorings, pairs))
     raise ValueError(f"unknown mode {mode!r}")

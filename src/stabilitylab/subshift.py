@@ -407,7 +407,7 @@ class ErgodicMeasure:
                 perron = self.sub.perron_vector()
                 for i, letter in enumerate(self.sub.alphabet):
                     if abs(table.get(letter, 0.0) - perron[i]) > 100 * self.tolerance:
-                        raise AssertionError(
+                        raise InvariantError(
                             "letter frequencies disagree with the Perron vector")
             self._tables[length] = table
         return self._tables[length]
@@ -627,7 +627,7 @@ def refine_kr(partition: KRPartition, pieces) -> KRPartition:
             for i in range(height):
                 hits = [j for j, members in enumerate(pulled[i]) if member in members]
                 if len(hits) != 1:
-                    raise AssertionError("pieces failed to split a base window")
+                    raise InvariantError("pieces failed to split a base window")
                 itinerary.append(hits[0])
             groups.setdefault(tuple(itinerary), set()).add(member)
         for j, key in enumerate(sorted(groups)):

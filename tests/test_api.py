@@ -27,11 +27,19 @@ def test_invariant_error_is_a_runtime_error():
     assert not issubclass(sl.InvariantError, sl.ResourceLimitError)
 
 
+def _raises_assertion_error(node) -> bool:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_library_has_no_assert_statements():
-    # python -O strips assert, so library invariants raise InvariantError
+    # python -O strips assert, and a raised AssertionError reads as a failed
+    # check, so library invariants raise InvariantError
     found = []
     for path in sorted(Path(sl.__file__).parent.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Assert):
+            if isinstance(node, ast.Assert) or (
+                    isinstance(node, ast.Raise) and node.exc is not None
+                    and _raises_assertion_error(node)):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []

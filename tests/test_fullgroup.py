@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from oracles import expected_fullgroup_irs
 from stabilitylab.fullgroup import (CocycleNotConstantError,
                                     adapted_partition, atom_action,
                                     atom_exponents, ball_elements,
@@ -277,6 +278,17 @@ class TestFullgroupIRS:
         irs = fullgroup_irs(part, gadgets, 2, 1, measure)
         for fp in irs.support():
             fp.validate()
+
+    @pytest.mark.parametrize("radius,k", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)])
+    def test_nonabelian_ball_matches_tuple_enumeration(self, measure, radius, k):
+        gens = [three_cycle(cylinder(FIB, "aa")), three_cycle(cylinder(FIB, "baa"))]
+        assert gens[0] * gens[1] != gens[1] * gens[0]
+        part = adapted_partition(FIB, gens, radius, "abaab")
+        if radius == 1:
+            assert len(part.atoms()) == 21
+        report = local_embedding(gens, radius, part)
+        irs = fullgroup_irs(part, gens, k, radius, measure, embedding=report)
+        assert irs.masses == expected_fullgroup_irs(part, report, k, radius, measure)
 
 
 class TestOtherSubstitutions:

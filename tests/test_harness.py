@@ -70,13 +70,19 @@ class TestCLI:
         assert "size=5" in text  # the flag beat the config file
         assert len(text.splitlines()) == 5
 
-    @pytest.mark.parametrize("command", ["alt-convergence", "fullgroup-embed",
-                                         "fullgroup-irs"])
+    @pytest.mark.parametrize("command", ["alt-convergence", "subshift-kr",
+                                         "fullgroup-embed", "fullgroup-irs"])
     def test_unused_seed_option_is_rejected(self, command, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main([command, "--seed", "1", "--out", str(tmp_path)])
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
+
+    def test_option_prefix_is_not_expanded(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["vershik", "--sample", "10", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--sample" in capsys.readouterr().err
 
     def test_unknown_config_field(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

@@ -120,6 +120,16 @@ class TestIrsOfGSet:
         triv = point_mass_irs(2, 1, full=False)
         assert irs.mass(triv.support()[0]) == Fraction(3, 5)
 
+    def test_ball_must_match_radius_and_rank(self):
+        with pytest.raises(ValueError, match="does not match"):
+            irs_of_gset(trivial_gset(2, 3), 3, ball=enumerate_ball(2, 1))
+        with pytest.raises(ValueError, match="does not match"):
+            irs_of_gset(trivial_gset(2, 3), 1, ball=enumerate_ball(3, 1))
+        with pytest.raises(ValueError, match="does not match"):
+            point_mass_irs(2, 3, full=True, ball=enumerate_ball(2, 1))
+        with pytest.raises(ValueError, match="does not match"):
+            point_mass_irs(2, 1, full=False, ball=enumerate_ball(3, 1))
+
     def test_masses_sum_exactly_to_one(self):
         rng = random.Random(1)
         for _ in range(5):
