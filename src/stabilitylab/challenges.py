@@ -2,10 +2,11 @@
 
 The central quantity is the generator defect of a bijection f between two
 equal-size finite actions: the average over generators of the fraction of
-points where f fails to intertwine them.  Its minimum over all bijections is
-a quadratic-assignment-flavored problem, so alongside the exhaustive oracle
-(tiny sizes only) there is a measured heuristic: greedy matching on local
-fixation signatures followed by 2-swap descent.
+points where f fails to intertwine them, kept as an integer count of
+(generator, point) mismatches and divided by |X|·rank once.  Its minimum over
+all bijections is a quadratic-assignment-flavored problem, so alongside the
+exhaustive oracle (tiny sizes only) there is a measured heuristic: greedy
+matching on local fixation signatures followed by 2-swap descent.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .irs import FiniteGSet
 from .perms import GenTuple, Perm, ball_images, word_eval
-from .words import Ball, ReducedWord, ResourceLimitError, WordSet, enumerate_ball
+from .words import ReducedWord, ResourceLimitError, WordSet, enumerate_ball
 
 
 @dataclass(frozen=True)
@@ -42,40 +43,40 @@ def _check_bijection(f, size: int) -> tuple[int, ...]:
     return f
 
 
+def _pair_images(x: FiniteGSet, y: FiniteGSet):
+    """Validate the pair once; its size, rank and generator image tuples."""
+    FSetPair(x, y)
+    return (x.size, x.rank, [s.images for s in x.action.perms],
+            [s.images for s in y.action.perms])
+
+
+def _mismatches(f, x_images, y_images) -> int:
+    """Number of (generator s, point p) with f(s(p)) != s(f(p))."""
+    return sum(f[sp] != sy[fp]
+               for sx, sy in zip(x_images, y_images) for sp, fp in zip(sx, f))
+
+
 def gen_norm(f, x: FiniteGSet, y: FiniteGSet) -> Fraction:
     """Average over generators of Prob[f(s(p)) != s(f(p))]; zero iff equivariant."""
-    pair = FSetPair(x, y)
-    f = _check_bijection(f, pair.x.size)
-    size, rank = pair.x.size, pair.x.rank
-    total = Fraction(0)
-    for s in range(rank):
-        sx = pair.x.action.perms[s]
-        sy = pair.y.action.perms[s]
-        mism = sum(1 for p in range(size) if f[sx(p)] != sy(f[p]))
-        total += Fraction(mism, size)
-    return total / rank
+    size, rank, xs, ys = _pair_images(x, y)
+    return Fraction(_mismatches(_check_bijection(f, size), xs, ys), size * rank)
 
 
 def d_gen_exact(x: FiniteGSet, y: FiniteGSet, cap: int = 8) -> Fraction:
     """Exhaustive minimum of the generator defect over all |X|! bijections."""
-    pair = FSetPair(x, y)
-    if pair.x.size > cap:
+    size, rank, xs, ys = _pair_images(x, y)
+    if size > cap:
         raise ResourceLimitError(
-            f"exhaustive search over {pair.x.size}! bijections exceeds the cap "
+            f"exhaustive search over {size}! bijections exceeds the cap "
             f"({cap}); use d_gen_bound")
-    best = Fraction(1)
-    for f in itertools.permutations(range(pair.x.size)):
-        value = gen_norm(f, x, y)
-        if value < best:
-            best = value
+    best = size * rank
+    for f in itertools.permutations(range(size)):
+        count = _mismatches(f, xs, ys)
+        if count < best:
+            best = count
             if best == 0:
                 break
-    return best
-
-
-def _signatures(gset: FiniteGSet, ball: Ball) -> list[tuple[bool, ...]]:
-    fixed = ball_images(gset.action, ball) == np.arange(gset.size)
-    return [tuple(row) for row in fixed.T.tolist()]
+    return Fraction(best, size * rank)
 
 
 @dataclass(frozen=True)
@@ -93,50 +94,48 @@ def d_gen_bound(x: FiniteGSet, y: FiniteGSet, restarts: int = 30,
     defect of an actual bijection, hence never below the exhaustive minimum;
     more restarts never increase it.
     """
-    pair = FSetPair(x, y)
-    size = pair.x.size
+    size, rank, xs, ys = _pair_images(x, y)
     rng = random.Random(seed)
-    ball = enumerate_ball(pair.x.rank, 2)
-    sig_x = _signatures(x, ball)
-    sig_y = _signatures(y, ball)
-
-    def greedy(order):
-        free = list(range(size))
-        f = [0] * size
-        for p in order:
-            match = max(free, key=lambda q: (sum(a == b for a, b in zip(sig_x[p], sig_y[q]))))
-            free.remove(match)
-            f[p] = match
-        return f
+    ball = enumerate_ball(rank, 2)
+    # agree[p][q]: ball words whose fixation of p in x and of q in y agree
+    fx, fy = ((ball_images(g.action, ball) == np.arange(size)).astype(np.int64)
+              for g in (x, y))
+    agree = (fx.T @ fy + (1 - fx).T @ (1 - fy)).tolist()
+    free = list(range(size))
+    greedy = []
+    for row in agree:
+        match = max(free, key=row.__getitem__)
+        free.remove(match)
+        greedy.append(match)
 
     def descend(f):
-        value = gen_norm(f, x, y)
+        count = _mismatches(f, xs, ys)
         improved = True
-        while improved and value > 0:
+        while improved and count > 0:
             improved = False
             for p, q in itertools.combinations(range(size), 2):
                 f[p], f[q] = f[q], f[p]
-                trial = gen_norm(f, x, y)
-                if trial < value:
-                    value = trial
+                trial = _mismatches(f, xs, ys)
+                if trial < count:
+                    count = trial
                     improved = True
                 else:
                     f[p], f[q] = f[q], f[p]
-        return value, f
+        return count, f
 
-    starts = [greedy(range(size))]
+    starts = [greedy]
     for _ in range(max(restarts - 1, 0)):
         f = list(range(size))
         rng.shuffle(f)
         starts.append(f)
     best, best_f = None, None
     for f in starts:
-        value, f = descend(list(f))
-        if best is None or value < best:
-            best, best_f = value, tuple(f)
+        count, f = descend(list(f))
+        if best is None or count < best:
+            best, best_f = count, tuple(f)
         if best == 0:
             break
-    return BoundResult(best, best_f)
+    return BoundResult(Fraction(best, size * rank), best_f)
 
 
 def challenge_defect(x: FiniteGSet, relators) -> list[tuple[ReducedWord, Fraction]]:

@@ -219,9 +219,6 @@ class BallElements:
     representatives: tuple  # (ReducedWord, TableElement) per distinct element
     word_to_index: dict     # every ball word -> index into representatives
 
-    def element_of(self, word: ReducedWord) -> TableElement:
-        return self.representatives[self.word_to_index[word]][1]
-
 
 def ball_elements(generators, radius: int, element_cap: int = 4096) -> BallElements:
     """BFS over reduced words with exact element dedup; one shortlex word each."""

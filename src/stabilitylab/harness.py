@@ -66,7 +66,7 @@ def merge_config(args: argparse.Namespace, defaults: dict) -> dict:
         for key, value in config.items():
             if key not in merged:
                 raise SystemExit(f"unknown config field {key!r}")
-            merged[key] = type(defaults[key])(value) if defaults[key] is not None else value
+            merged[key] = type(defaults[key])(value)
     for key in merged:
         flag_value = getattr(args, key, None)
         if flag_value is not None:

@@ -347,7 +347,6 @@ def coset_action(elements, marking: GenTuple, subgroup: frozenset) -> FiniteGSet
             reps.append(g)
             for h in subgroup:
                 coset_of[g * h] = idx
-    n = len(reps)
     perms = []
     for s in marking.perms:
         perms.append(Perm(tuple(coset_of[s * g] for g in reps)))

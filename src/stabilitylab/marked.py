@@ -387,10 +387,6 @@ def convergence_table(oracles, target: MarkedGroupOracle, r_max: int,
 # ---------------------------------------------------------------------------
 # diagonal products and the tail homomorphism
 
-def default_neumann_rates(m: int) -> int:
-    return m + 2
-
-
 @dataclass(frozen=True)
 class TruncatedDiagonalProduct:
     """Finitely many marked finite factors with the diagonal marking.
@@ -421,19 +417,18 @@ class TruncatedDiagonalProduct:
         return DiagonalOracle(self.factors, name or f"diagonal[{len(self.factors)}]")
 
 
-def neumann_truncation(offset: int, length: int, rates=None) -> TruncatedDiagonalProduct:
+def neumann_truncation(offset: int, length: int) -> TruncatedDiagonalProduct:
     """Truncated diagonal product of alternating factors with shifted rates.
 
-    Factor m (for m < length) is the alternating group of rank
-    ``rates(m + offset)``; the default rate function is m -> m + 2.
+    Factor m (for m < length) is the alternating group at rate m + 2, shifted
+    by the offset: ``alt_marking(m + offset + 2)``.
     """
     if length < 1:
         raise ValueError("need at least one factor")
     if offset < 0:
         raise ValueError("offset must be >= 0")
-    rates = rates or default_neumann_rates
     return TruncatedDiagonalProduct(
-        tuple(alt_marking(rates(m + offset)) for m in range(length)))
+        tuple(alt_marking(m + offset + 2) for m in range(length)))
 
 
 @dataclass(frozen=True)

@@ -539,14 +539,13 @@ class KRAtom:
 class KRPartition:
     """A clopen partition of the subshift into shift towers."""
 
-    def __init__(self, sub: Substitution, towers, check: bool = True):
+    def __init__(self, sub: Substitution, towers):
         self.sub = sub
         self.towers = tuple(towers)
         if not self.towers:
             raise ValueError("need at least one tower")
         self._atoms: list[KRAtom] | None = None
-        if check:
-            self.validate()
+        self.validate()
 
     def atoms(self) -> list[KRAtom]:
         if self._atoms is None:
@@ -613,14 +612,13 @@ def refine_kr(partition: KRPartition, pieces) -> KRPartition:
     for tower in partition.towers:
         height = tower.height
         level = max([tower.base.resolution]
-                    + [p.resolution + i for p in pieces for i in (height - 1,)])
+                    + [p.resolution + height - 1 for p in pieces])
         base = tower.base.at_resolution(level)
-        pulled = []
+        pulled, shifted = [], pieces
         for i in range(height):
-            row = []
-            for p in pieces:
-                row.append(p.shift_pow(-i).at_resolution(level).members)
-            pulled.append(row)
+            if i:
+                shifted = [p.shift_preimage() for p in shifted]
+            pulled.append([p.at_resolution(level).members for p in shifted])
         groups: dict[tuple, set] = {}
         for member in base.members:
             itinerary = []

@@ -5,10 +5,15 @@ route than the library code it checks.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
+import numpy as np
+
+from stabilitylab.challenges import BoundResult, gen_norm
 from stabilitylab.irs import CylinderFingerprint, EmpiricalIRS
-from stabilitylab.perms import GenTuple, Perm, generate_closure, identity_perm, word_eval
+from stabilitylab.perms import (GenTuple, Perm, ball_images, generate_closure,
+                                identity_perm, word_eval)
 from stabilitylab.words import enumerate_ball
 
 
@@ -64,6 +69,56 @@ def expected_fullgroup_irs(partition, report, k, radius, measure) -> dict:
         fp = CylinderFingerprint.from_words(radius, words)
         masses[fp] = masses.get(fp, 0.0) + mass
     return masses
+
+
+def expected_d_gen_bound(x, y, restarts: int = 30, seed: int = 0) -> BoundResult:
+    """The greedy start and 2-swap descent of ``d_gen_bound``, in Fractions.
+
+    Signatures are per-point tuples of radius-2 fixation flags, the greedy
+    match sums agreements pair by pair, and every trial swap calls
+    ``gen_norm`` afresh.
+    """
+    size = x.size
+    rng = random.Random(seed)
+    ball = enumerate_ball(x.rank, 2)
+    sig_x, sig_y = ([tuple(row) for row in (ball_images(g.action, ball)
+                                            == np.arange(size)).T.tolist()]
+                    for g in (x, y))
+    free = list(range(size))
+    greedy = [0] * size
+    for p in range(size):
+        match = max(free, key=lambda q: sum(a == b for a, b in zip(sig_x[p], sig_y[q])))
+        free.remove(match)
+        greedy[p] = match
+
+    def descend(f):
+        value = gen_norm(f, x, y)
+        improved = True
+        while improved and value > 0:
+            improved = False
+            for p, q in itertools.combinations(range(size), 2):
+                f[p], f[q] = f[q], f[p]
+                trial = gen_norm(f, x, y)
+                if trial < value:
+                    value = trial
+                    improved = True
+                else:
+                    f[p], f[q] = f[q], f[p]
+        return value, f
+
+    starts = [greedy]
+    for _ in range(max(restarts - 1, 0)):
+        f = list(range(size))
+        rng.shuffle(f)
+        starts.append(f)
+    best, best_f = None, None
+    for f in starts:
+        value, f = descend(list(f))
+        if best is None or value < best:
+            best, best_f = value, tuple(f)
+        if best == 0:
+            break
+    return BoundResult(best, best_f)
 
 
 def random_gset(rng, size: int, rank: int = 2):

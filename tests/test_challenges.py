@@ -1,8 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from oracles import random_gset
+from oracles import expected_d_gen_bound, random_gset
 
 from stabilitylab.challenges import (FSetPair, challenge_defect, d_gen_bound,
                                      d_gen_exact, gen_norm, is_m_good,
@@ -70,6 +71,41 @@ class TestGenNorm:
             FSetPair(cycle_gset(3), cycle_gset(4))
 
 
+def per_generator_average(f, X, Y):
+    """Mean over generators of each generator's own mismatch fraction."""
+    fractions = [Fraction(sum(f[sx(p)] != sy(f[p]) for p in range(X.size)), X.size)
+                 for sx, sy in zip(X.action.perms, Y.action.perms)]
+    return sum(fractions) / len(fractions)
+
+
+@pytest.mark.parametrize("rank", [1, 3])
+class TestOtherRanks:
+    def test_gen_norm(self, rank):
+        rng = random.Random(20 + rank)
+        for size in (1, 4, 7):
+            X, Y = random_gset(rng, size, rank), random_gset(rng, size, rank)
+            for _ in range(5):
+                f = list(range(size))
+                rng.shuffle(f)
+                assert gen_norm(f, X, Y) == per_generator_average(f, X, Y)
+
+    def test_d_gen_exact(self, rank):
+        rng = random.Random(30 + rank)
+        for size in (1, 3, 5):
+            X, Y = random_gset(rng, size, rank), random_gset(rng, size, rank)
+            expected = min(per_generator_average(f, X, Y)
+                           for f in itertools.permutations(range(size)))
+            assert d_gen_exact(X, Y) == expected
+
+    def test_d_gen_bound(self, rank):
+        rng = random.Random(40 + rank)
+        for size in (1, 5, 8):
+            X, Y = random_gset(rng, size, rank), random_gset(rng, size, rank)
+            res = d_gen_bound(X, Y, restarts=5, seed=rank)
+            assert res == expected_d_gen_bound(X, Y, restarts=5, seed=rank)
+            assert res.value == per_generator_average(res.bijection, X, Y)
+
+
 class TestDGenExact:
     def test_identical_gsets(self):
         rng = random.Random(3)
@@ -129,6 +165,16 @@ class TestDGenBound:
             few = d_gen_bound(X, Y, restarts=2, seed=0).value
             many = d_gen_bound(X, Y, restarts=12, seed=0).value
             assert many <= few
+
+
+    @pytest.mark.parametrize("restarts", [1, 5, 30])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_fraction_descent(self, restarts, seed):
+        rng = random.Random(100 * restarts + seed)
+        for size in range(5, 13):
+            X, Y = random_gset(rng, size), random_gset(rng, size)
+            res = d_gen_bound(X, Y, restarts=restarts, seed=seed)
+            assert res == expected_d_gen_bound(X, Y, restarts=restarts, seed=seed)
 
 
 class TestChallengeDefect:
