@@ -472,7 +472,8 @@ def fullgroup_irs(partition: KRPartition, generators, k: int, radius: int,
 
     For every k-tuple of atoms the fingerprint collects the ball words whose
     atom permutation fixes each coordinate; the tuple carries the product of
-    atom masses (each atom weighs as much as its tower base).
+    atom masses (each atom weighs as much as its tower base).  A passed
+    ``embedding`` must be the report for this partition at this radius.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -499,6 +500,10 @@ def fullgroup_irs(partition: KRPartition, generators, k: int, radius: int,
 def _atom_fixation(partition, generators, radius, measure, report):
     """The ball, its (atoms x ball) fixation matrix read off the embedding's
     atom permutations, and each atom's mass (that of its tower base)."""
+    if report.radius != radius or report.atom_count != len(partition.atoms()):
+        raise ValueError(
+            f"embedding report of radius {report.radius} on {report.atom_count} "
+            f"atoms does not match radius {radius} on {len(partition.atoms())} atoms")
     ball = enumerate_ball(len(list(generators)), radius)
     images = np.array([report.image_of(w).perm.images for w in ball.words])
     fixed = (images == np.arange(images.shape[1])).T

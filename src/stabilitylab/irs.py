@@ -246,10 +246,14 @@ def fingerprint_masses(ball: Ball, blocks) -> dict:
     row per point and one column per word of ``ball``, true where the word
     fixes the point, and ``weights`` holds one weight per row.  Equal rows are
     grouped by their packed bytes; weights are added in block and row order,
-    so float sums are reproducible.
+    so float sums are reproducible.  A block whose shape does not match its
+    weights and the ball raises ``ValueError``.
     """
     sums: dict = {}
     for rows, weights in blocks:
+        if rows.shape != (len(weights), len(ball)):
+            raise ValueError(f"fixation block of shape {rows.shape} does not match "
+                             f"{len(weights)} weights and {len(ball)} ball words")
         packed = np.ascontiguousarray(np.packbits(rows, axis=1))
         keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
         for key, weight in zip(keys, weights):

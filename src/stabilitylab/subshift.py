@@ -132,11 +132,11 @@ class Substitution:
     def long_word(self, min_length: int, cap: int = _STRING_CAP) -> str:
         """An admissible word of at least the requested length (an iterate of
         the first letter)."""
-        s = self.alphabet[0]
-        while len(s) < min_length:
-            s = self.apply(s)
-            if len(s) > cap and len(s) < min_length:
+        level = 0
+        while len(s := self.expansion(self.alphabet[0], level)) < min_length:
+            if len(s) > cap:
                 raise ResourceLimitError("iterate exceeds the string cap")
+            level += 1
         return s
 
     # -- the language -------------------------------------------------------
@@ -216,9 +216,15 @@ def substitution_by_name(text: str) -> Substitution:
 # clopen sets
 
 class ClopenSet:
-    """A clopen subset of the subshift, as admissible window words."""
+    """A clopen subset of the subshift, as admissible window words.
 
-    __slots__ = ("sub", "resolution", "members", "_reduced")
+    Canonical forms and shifts are memoized on the instance.  The memos only
+    point from a set to sets derived from it, never back, so dropping a set
+    frees its whole shift chain without waiting for the cycle collector.
+    """
+
+    __slots__ = ("sub", "resolution", "members", "_reduced", "_minimal",
+                 "_image", "_preimage")
 
     def __init__(self, sub: Substitution, resolution: int, members):
         if resolution < 0:
@@ -235,11 +241,16 @@ class ClopenSet:
         self.resolution = resolution
         self.members = members
         self._reduced = None
+        self._minimal = False
+        self._image = None
+        self._preimage = None
 
     # -- canonical form -----------------------------------------------------
 
     def reduce(self) -> "ClopenSet":
         """Equivalent set at the least possible resolution (canonical form)."""
+        if self._minimal:
+            return self
         if self._reduced is not None:
             return self._reduced
         cur = self
@@ -252,8 +263,9 @@ class ClopenSet:
                 cur = ClopenSet(cur.sub, cur.resolution - 1, projected)
             else:
                 break
-        self._reduced = cur
-        cur._reduced = cur
+        cur._minimal = True
+        if cur is not self:
+            self._reduced = cur
         return cur
 
     def at_resolution(self, resolution: int) -> "ClopenSet":
@@ -286,15 +298,30 @@ class ClopenSet:
 
     # -- boolean algebra ----------------------------------------------------
 
-    def _common(self, other: "ClopenSet"):
+    def _check_sub(self, other: "ClopenSet") -> None:
         if self.sub != other.sub:
             raise ValueError("clopen sets over different subshifts")
+
+    def _common(self, other: "ClopenSet"):
+        self._check_sub(other)
         level = max(self.resolution, other.resolution)
         return self.at_resolution(level), other.at_resolution(level)
 
+    def _inside(self, coarser: "ClopenSet") -> frozenset:
+        """Members of this set whose window, cut down to the coarser set's
+        resolution, is a member of the coarser set: no lifting needed."""
+        self._check_sub(coarser)
+        off = self.resolution - coarser.resolution
+        span = 2 * coarser.resolution + 1
+        inner = coarser.members
+        return frozenset(w for w in self.members if w[off:off + span] in inner)
+
+    def _finer_first(self, other: "ClopenSet"):
+        return (self, other) if self.resolution >= other.resolution else (other, self)
+
     def intersect(self, other: "ClopenSet") -> "ClopenSet":
-        a, b = self._common(other)
-        return ClopenSet(self.sub, a.resolution, a.members & b.members)
+        fine, coarse = self._finer_first(other)
+        return ClopenSet(self.sub, fine.resolution, fine._inside(coarse))
 
     def union(self, other: "ClopenSet") -> "ClopenSet":
         a, b = self._common(other)
@@ -313,28 +340,32 @@ class ClopenSet:
         return not self.members
 
     def is_subset(self, other: "ClopenSet") -> bool:
-        a, b = self._common(other)
-        return a.members <= b.members
+        fine = self.at_resolution(max(self.resolution, other.resolution))
+        return len(fine._inside(other)) == len(fine.members)
 
     def is_disjoint(self, other: "ClopenSet") -> bool:
-        a, b = self._common(other)
-        return not (a.members & b.members)
+        fine, coarse = self._finer_first(other)
+        return not fine._inside(coarse)
 
     # -- dynamics -----------------------------------------------------------
 
     def shift_image(self) -> "ClopenSet":
         """Image under the shift: y is in T(C) iff y[-L-1..L-1] is a member."""
-        width = 2 * self.resolution + 3
-        span = 2 * self.resolution + 1
-        members = frozenset(w for w in self.sub.factors(width)
-                            if w[:span] in self.members)
-        return ClopenSet(self.sub, self.resolution + 1, members).reduce()
+        if self._image is None:
+            width = 2 * self.resolution + 3
+            span = 2 * self.resolution + 1
+            members = frozenset(w for w in self.sub.factors(width)
+                                if w[:span] in self.members)
+            self._image = ClopenSet(self.sub, self.resolution + 1, members).reduce()
+        return self._image
 
     def shift_preimage(self) -> "ClopenSet":
-        width = 2 * self.resolution + 3
-        members = frozenset(w for w in self.sub.factors(width)
-                            if w[2:] in self.members)
-        return ClopenSet(self.sub, self.resolution + 1, members).reduce()
+        if self._preimage is None:
+            width = 2 * self.resolution + 3
+            members = frozenset(w for w in self.sub.factors(width)
+                                if w[2:] in self.members)
+            self._preimage = ClopenSet(self.sub, self.resolution + 1, members).reduce()
+        return self._preimage
 
     def shift_pow(self, n: int) -> "ClopenSet":
         out = self
@@ -602,28 +633,27 @@ def refine_kr(partition: KRPartition, pieces) -> KRPartition:
 
     Each base splits by the itinerary of its levels through the pieces; the
     subtowers keep their height, so base, roof and minimal height survive
-    unchanged, and every refined atom lies inside a single piece.
+    unchanged, and every refined atom lies inside a single piece.  A point
+    lies in T^-i(p) exactly when its window, cut to p's resolution around
+    coordinate i, is a member of p, so itineraries are read by slicing the
+    base windows.
     """
     pieces = [p for p in pieces if not p.is_empty]
     sub = partition.sub
     if not is_partition(sub, pieces):
         raise ValueError("the refining pieces do not form a clopen partition")
+    reach = max(p.resolution for p in pieces)
     new_towers = []
     for tower in partition.towers:
         height = tower.height
-        level = max([tower.base.resolution]
-                    + [p.resolution + height - 1 for p in pieces])
+        level = max(tower.base.resolution, reach + height - 1)
         base = tower.base.at_resolution(level)
-        pulled, shifted = [], pieces
-        for i in range(height):
-            if i:
-                shifted = [p.shift_preimage() for p in shifted]
-            pulled.append([p.at_resolution(level).members for p in shifted])
         groups: dict[tuple, set] = {}
         for member in base.members:
             itinerary = []
-            for i in range(height):
-                hits = [j for j, members in enumerate(pulled[i]) if member in members]
+            for mid in range(level, level + height):  # coordinates 0..height-1
+                hits = [j for j, p in enumerate(pieces)
+                        if member[mid - p.resolution:mid + p.resolution + 1] in p.members]
                 if len(hits) != 1:
                     raise InvariantError("pieces failed to split a base window")
                 itinerary.append(hits[0])

@@ -14,6 +14,7 @@ from stabilitylab.challenges import BoundResult, gen_norm
 from stabilitylab.irs import CylinderFingerprint, EmpiricalIRS
 from stabilitylab.perms import (GenTuple, Perm, ball_images, generate_closure,
                                 identity_perm, word_eval)
+from stabilitylab.subshift import ClopenSet, KRPartition, Tower, is_partition
 from stabilitylab.words import enumerate_ball
 
 
@@ -119,6 +120,42 @@ def expected_d_gen_bound(x, y, restarts: int = 30, seed: int = 0) -> BoundResult
         if best == 0:
             break
     return BoundResult(best, best_f)
+
+
+def expected_refine_kr(partition, pieces) -> KRPartition:
+    """``refine_kr`` by pulling and lifting sets.
+
+    Each piece is pulled back level by level with ``shift_preimage``, every
+    pulled set is lifted to the tower's resolution with ``at_resolution``, and
+    a base window's itinerary is read off by set membership.
+    """
+    pieces = [p for p in pieces if not p.is_empty]
+    sub = partition.sub
+    assert is_partition(sub, pieces)
+    new_towers = []
+    for tower in partition.towers:
+        height = tower.height
+        level = max([tower.base.resolution]
+                    + [p.resolution + height - 1 for p in pieces])
+        base = tower.base.at_resolution(level)
+        pulled, shifted = [], pieces
+        for i in range(height):
+            if i:
+                shifted = [p.shift_preimage() for p in shifted]
+            pulled.append([p.at_resolution(level).members for p in shifted])
+        groups: dict[tuple, set] = {}
+        for member in base.members:
+            itinerary = []
+            for i in range(height):
+                hits = [j for j, members in enumerate(pulled[i]) if member in members]
+                assert len(hits) == 1
+                itinerary.append(hits[0])
+            groups.setdefault(tuple(itinerary), set()).add(member)
+        for j, key in enumerate(sorted(groups)):
+            sub_base = ClopenSet(sub, level, groups[key]).reduce()
+            label = f"{tower.label}/{j}" if tower.label else str(j)
+            new_towers.append(Tower(sub_base, height, label=label))
+    return KRPartition(sub, new_towers)
 
 
 def random_gset(rng, size: int, rank: int = 2):

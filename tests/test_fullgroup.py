@@ -28,6 +28,10 @@ def measure():
     return ErgodicMeasure(FIB)
 
 
+def _nonabelian():
+    return [three_cycle(cylinder(FIB, "aa")), three_cycle(cylinder(FIB, "baa"))]
+
+
 class TestTableElement:
     def test_identity(self):
         e = identity_element(FIB)
@@ -281,7 +285,7 @@ class TestFullgroupIRS:
 
     @pytest.mark.parametrize("radius,k", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)])
     def test_nonabelian_ball_matches_tuple_enumeration(self, measure, radius, k):
-        gens = [three_cycle(cylinder(FIB, "aa")), three_cycle(cylinder(FIB, "baa"))]
+        gens = _nonabelian()
         assert gens[0] * gens[1] != gens[1] * gens[0]
         part = adapted_partition(FIB, gens, radius, "abaab")
         if radius == 1:
@@ -289,6 +293,24 @@ class TestFullgroupIRS:
         report = local_embedding(gens, radius, part)
         irs = fullgroup_irs(part, gens, k, radius, measure, embedding=report)
         assert irs.masses == expected_fullgroup_irs(part, report, k, radius, measure)
+
+    def test_report_of_another_partition_rejected(self, measure):
+        gens = _nonabelian()
+        coarse = adapted_partition(FIB, gens, 1, "abaab")
+        fine = adapted_partition(FIB, gens, 2, "abaab")
+        assert (len(coarse.atoms()), len(fine.atoms())) == (21, 55)
+        fine_report = local_embedding(gens, 2, fine)
+        for radius in (1, 2):
+            with pytest.raises(ValueError, match="does not match"):
+                fullgroup_irs(coarse, gens, 1, radius, measure, embedding=fine_report)
+
+    def test_report_of_smaller_radius_rejected(self, measure):
+        gens = _nonabelian()
+        part = adapted_partition(FIB, gens, 2, "abaab")
+        small_report = local_embedding(gens, 1, part)
+        assert small_report.passed
+        with pytest.raises(ValueError, match="radius 1 on 55 atoms"):
+            fullgroup_irs(part, gens, 2, 2, measure, embedding=small_report)
 
 
 class TestOtherSubstitutions:

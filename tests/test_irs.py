@@ -2,11 +2,13 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from oracles import expected_atomic_irs, random_gset
 
 from stabilitylab.irs import (CylinderFingerprint, EmpiricalIRS, FiniteGSet,
                               coset_action, disjoint_union, fingerprint,
+                              fingerprint_masses,
                               gset_from_json, gset_to_json, irs_distance,
                               irs_of_gset, mixture, pad_gset, point_mass_irs,
                               realize_irs_as_gset, relabel, sample_irs,
@@ -56,6 +58,15 @@ class TestFingerprint:
     def test_out_of_range_point(self):
         with pytest.raises(ValueError):
             fingerprint(alt_marking(2), 7, enumerate_ball(2, 1))
+
+    def test_masses_reject_misshapen_blocks(self):
+        ball = enumerate_ball(2, 1)  # 5 words
+        rows = np.ones((3, len(ball)), dtype=bool)
+        assert fingerprint_masses(ball, [(rows, [1, 2, 3])]) == {
+            CylinderFingerprint.from_words(1, ball.words): 6}
+        for bad in [(rows, [1, 2]), (rows[:, :4], [1, 2, 3])]:
+            with pytest.raises(ValueError, match="does not match"):
+                fingerprint_masses(ball, [(rows, [1, 2, 3]), bad])
 
     def test_invariants_on_random_actions(self):
         rng = random.Random(0)

@@ -1,7 +1,11 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import expected_refine_kr
+from stabilitylab.fullgroup import ball_elements, three_cycle
 from stabilitylab.subshift import (ClopenSet, ErgodicMeasure,
                                    Substitution, chacon, cylinder, empty_set,
                                    fibonacci, full_set, is_partition,
@@ -51,6 +55,21 @@ class TestSubstitution:
     def test_images_must_cover_alphabet(self):
         with pytest.raises(ValueError):
             Substitution("ab", {"a": "ab"})
+
+    @pytest.mark.parametrize("sub", [fibonacci(), thue_morse(), chacon()])
+    def test_long_word_is_the_first_long_enough_iterate(self, sub):
+        for min_length in (1, 2, 7, 64, 4096):
+            s = sub.alphabet[0]
+            while len(s) < min_length:
+                s = sub.apply(s)
+            assert sub.long_word(min_length) == s
+            assert sub.long_word(min_length) == s  # served again from the cache
+
+    def test_long_word_cap(self):
+        sub = fibonacci()  # iterate lengths 1, 2, 3, 5, 8, 13, ...
+        with pytest.raises(ResourceLimitError):
+            sub.long_word(100, cap=10)
+        assert sub.long_word(5, cap=3) == "abaab"
 
 
 class TestLanguage:
@@ -140,6 +159,39 @@ class TestClopenAlgebra:
         assert c.union(d) == d.union(c)
         assert c.minus(d) == c.intersect(d.complement())
         assert c.union(c.complement()) == full
+
+    @given(fib_clopen(), fib_clopen())
+    @settings(max_examples=60, deadline=None)
+    def test_window_slicing_agrees_with_lifting(self, c, d):
+        level = max(c.resolution, d.resolution)
+        a, b = c.at_resolution(level).members, d.at_resolution(level).members
+        meet = c.intersect(d)
+        assert (meet.resolution, meet.members) == (level, a & b)
+        assert d.intersect(c).members == a & b
+        assert c.minus(d).at_resolution(level).members == a - b
+        assert c.is_subset(d) == (a <= b)
+        assert d.is_subset(c) == (b <= a)
+        assert c.is_disjoint(d) == d.is_disjoint(c) == (not a & b)
+
+    def test_operands_over_different_subshifts_rejected(self):
+        other = cylinder(thue_morse(), "ab")
+        for x, y in ((self.a, other), (other, self.a)):
+            for op in (x.intersect, x.union, x.minus, x.is_subset, x.is_disjoint):
+                with pytest.raises(ValueError, match="different subshifts"):
+                    op(y)
+
+    def test_shift_memos_leave_no_reference_cycles(self):
+        gc.collect()
+        gc.disable()
+        try:
+            c = cylinder(self.sub, "aab").at_resolution(4)
+            c.reduce()
+            c.shift_pow(5).reduce()
+            c.shift_pow(-5).shift_pow(2)
+            del c
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @given(fib_clopen())
     @settings(max_examples=40, deadline=None)
@@ -284,3 +336,34 @@ class TestRefine:
     def test_rejects_non_partition(self):
         with pytest.raises(ValueError):
             refine_kr(self.part, [cylinder(self.sub, "a")])
+
+
+def _towers(partition):
+    return [(t.label, t.height, t.base.reduce().resolution, t.base.reduce().members)
+            for t in partition.towers]
+
+
+class TestRefineMatchesPullAndLift:
+    """``refine_kr`` reads itineraries by slicing windows; the oracle pulls
+    every piece back and lifts it to the tower's resolution."""
+
+    @pytest.mark.parametrize("sub,word", [
+        (fibonacci(), "aa"), (fibonacci(), "abaab"), (thue_morse(), "ab"),
+        (thue_morse(), "aab"), (chacon(), "a"), (chacon(), "ab")])
+    def test_atoms_and_letters(self, sub, word):
+        part = kr_partition(sub, word)
+        for pieces in ([a.part for a in part.atoms()],
+                       [cylinder(sub, ch) for ch in sub.alphabet]):
+            assert _towers(refine_kr(part, pieces)) == \
+                _towers(expected_refine_kr(part, pieces))
+
+    @pytest.mark.parametrize("seed", ["aa", "abaab"])
+    def test_nonabelian_ball_elements(self, seed):
+        sub = fibonacci()
+        gens = [three_cycle(cylinder(sub, "aa")), three_cycle(cylinder(sub, "baa"))]
+        part = kr_partition(sub, seed)
+        for _, elem in ball_elements(gens, 2).representatives:
+            pieces = [c for c, _ in elem.parts]
+            refined = refine_kr(part, pieces)
+            assert _towers(refined) == _towers(expected_refine_kr(part, pieces))
+            part = refined
