@@ -39,7 +39,7 @@ from .subshift import (ClopenSet, ErgodicMeasure, KRPartition, Substitution,
                        refine_kr, return_words, substitution_by_name, thue_morse)
 from .fullgroup import (TableElement, adapted_partition, atom_action,
                         ball_elements, fullgroup_irs, fullgroup_irs_limit_check,
-                        identity_element, local_embedding, make_element,
-                        three_cycle, tower_gadgets)
+                        identity_element, local_embedding, three_cycle,
+                        tower_gadgets)
 
 __version__ = "0.1.0"

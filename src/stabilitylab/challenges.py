@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .irs import FiniteGSet
-from .perms import GenTuple, Perm, ball_images, word_eval
+from .perms import GenTuple, Perm, ball_images, moved_fractions
 from .words import ReducedWord, ResourceLimitError, WordSet, enumerate_ball
 
 
@@ -140,13 +140,7 @@ def d_gen_bound(x: FiniteGSet, y: FiniteGSet, restarts: int = 30,
 
 def challenge_defect(x: FiniteGSet, relators) -> list[tuple[ReducedWord, Fraction]]:
     """Per-relator fraction of non-fixed points; a challenge drives these to 0."""
-    words = relators.sorted_words() if isinstance(relators, WordSet) else tuple(relators)
-    out = []
-    for w in words:
-        p = word_eval(w, x.action)
-        moved = x.size - p.fixed_count()
-        out.append((w, Fraction(moved, x.size)))
-    return out
+    return list(moved_fractions(x.action, relators))
 
 
 @dataclass(frozen=True)

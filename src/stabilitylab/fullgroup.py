@@ -20,12 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .irs import EmpiricalIRS, fingerprint_masses
+from .irs import EmpiricalIRS, fingerprint_masses, irs_distance
 from .perms import Perm
-from .subshift import (ClopenSet, ErgodicMeasure, KRPartition, Substitution,
-                       full_set, is_partition, kr_partition, refine_kr)
-from .words import (InvariantError, ReducedWord, ResourceLimitError, enumerate_ball,
-                    identity)
+from .subshift import (_STRING_CAP, ClopenSet, ErgodicMeasure, KRPartition,
+                       Substitution, full_set, is_partition, kr_partition, refine_kr)
+from .words import (Ball, InvariantError, ReducedWord, ResourceLimitError,
+                    ball_levels, enumerate_ball)
+
+_ELEMENT_CAP = 4096      # distinct elements in a generator ball
+_TUPLE_CAP = 10**7       # atom k-tuples behind one stabilizer pushforward
 
 
 class CocycleNotConstantError(ValueError):
@@ -66,12 +69,9 @@ class TableElement:
         if not is_partition(self.sub, domains):
             raise ValueError("table parts do not partition the space")
         images = [c.shift_pow(a) for c, a in self.parts]
-        for (i, ci), (j, cj) in itertools.combinations(enumerate(images), 2):
-            if not ci.is_disjoint(cj):
-                raise ValueError(
-                    f"images of parts {i} and {j} overlap: the table is not a bijection")
         if not is_partition(self.sub, images):
-            raise ValueError("images of the parts fail to cover the space")
+            raise ValueError("images of the parts overlap or fail to cover the "
+                             "space: the table is not a bijection")
 
     @property
     def is_identity(self) -> bool:
@@ -112,11 +112,6 @@ def identity_element(sub: Substitution) -> TableElement:
     return TableElement(sub, [(full_set(sub), 0)], _validated=True)
 
 
-def make_element(sub: Substitution, parts) -> TableElement:
-    """Validated table element from (clopen set, exponent) pairs."""
-    return TableElement(sub, parts)
-
-
 def three_cycle(part: ClopenSet) -> TableElement:
     """The order-3 element cycling a clopen set through its first two shifts.
 
@@ -133,7 +128,7 @@ def three_cycle(part: ClopenSet) -> TableElement:
     rest = full_set(sub)
     for s in stages:
         rest = rest.minus(s)
-    return make_element(sub, [(stages[0], 1), (stages[1], 1), (stages[2], -2),
+    return TableElement(sub, [(stages[0], 1), (stages[1], 1), (stages[2], -2),
                               (rest, 0)])
 
 
@@ -191,8 +186,7 @@ def sample_points(sub: Substitution, count: int, margin: int,
             for _ in range(count)]
 
 
-def point_inside(part: ClopenSet, margin: int,
-                 string_cap: int = 4_000_000) -> SymbolicPoint:
+def point_inside(part: ClopenSet, margin: int) -> SymbolicPoint:
     """Some point of a nonempty clopen set, with room to move around it."""
     if part.is_empty:
         raise ValueError("empty set has no points")
@@ -202,7 +196,7 @@ def point_inside(part: ClopenSet, margin: int,
         idx = text.find(member, margin)
         if idx != -1 and idx + len(member) + margin <= len(text):
             return SymbolicPoint(text, idx + part.resolution)
-        if len(text) > string_cap:
+        if len(text) > _STRING_CAP:
             raise ResourceLimitError(
                 f"no occurrence of {member!r} with margin {margin} below the cap")
         text = part.sub.apply(text)
@@ -215,60 +209,49 @@ def point_inside(part: ClopenSet, margin: int,
 class BallElements:
     """Ball of a finite symmetric generating set, with shortlex representatives."""
 
-    radius: int
+    ball: Ball              # the free-group ball that was walked
     representatives: tuple  # (ReducedWord, TableElement) per distinct element
     word_to_index: dict     # every ball word -> index into representatives
 
 
-def ball_elements(generators, radius: int, element_cap: int = 4096) -> BallElements:
-    """BFS over reduced words with exact element dedup; one shortlex word each."""
+def ball_elements(generators, radius: int) -> BallElements:
+    """Walk the ball level by level with exact element dedup.
+
+    A word's element is its parent's times its last letter, along
+    :func:`words.ball_levels`; the first word of an element in shortlex
+    order represents it.
+    """
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator")
-    sub = gens[0].sub
     rank = len(gens)
     by_letter = {}
     for i, g in enumerate(gens, start=1):
         by_letter[i] = g
         by_letter[-i] = g.inverse()
-    ident = identity_element(sub)
-    reps = [(identity(rank), ident)]
-    index_of = {ident: 0}
-    word_to_index = {identity(rank): 0}
-    level = [(identity(rank), ident)]
-    letter_order = [l for i in range(1, rank + 1) for l in (i, -i)]
-    for _ in range(radius):
-        nxt = []
-        for word, elem in level:
-            last = word.letters[-1] if word.letters else 0
-            for letter in letter_order:
-                if letter == -last:
-                    continue
-                new_word = ReducedWord(rank, word.letters + (letter,))
-                new_elem = elem * by_letter[letter]
-                if new_elem in index_of:
-                    word_to_index[new_word] = index_of[new_elem]
-                else:
-                    if len(reps) >= element_cap:
-                        raise ResourceLimitError("ball exceeds the element cap")
-                    index_of[new_elem] = len(reps)
-                    word_to_index[new_word] = len(reps)
-                    reps.append((new_word, new_elem))
-                nxt.append((new_word, new_elem))
-        level = nxt
-    return BallElements(radius, tuple(reps), word_to_index)
+
+    def levels():
+        level = [identity_element(gens[0].sub)]
+        yield level
+        for parents, letters in ball_levels(rank, radius):
+            level = [level[p] * by_letter[l]
+                     for p, l in zip(parents.tolist(), letters.tolist())]
+            yield level
+
+    ball = enumerate_ball(rank, radius)
+    reps, index_of, word_to_index = [], {}, {}
+    for word, elem in zip(ball.words, itertools.chain.from_iterable(levels())):
+        if elem not in index_of:
+            if len(reps) >= _ELEMENT_CAP:
+                raise ResourceLimitError("ball exceeds the element cap")
+            index_of[elem] = len(reps)
+            reps.append((word, elem))
+        word_to_index[word] = index_of[elem]
+    return BallElements(ball, tuple(reps), word_to_index)
 
 
 # ---------------------------------------------------------------------------
 # atom actions and local embeddings
-
-@dataclass(frozen=True)
-class AtomPerm:
-    """A permutation of the atom indices of a tower partition."""
-
-    perm: Perm
-    tower_preserving: bool = True
-
 
 def atom_exponents(g: TableElement, partition: KRPartition) -> tuple[int, ...]:
     """The table exponent on each atom; the partition must make them constant."""
@@ -285,7 +268,7 @@ def atom_exponents(g: TableElement, partition: KRPartition) -> tuple[int, ...]:
     return tuple(out)
 
 
-def atom_action(g: TableElement, partition: KRPartition) -> AtomPerm:
+def atom_action(g: TableElement, partition: KRPartition) -> Perm:
     """The tower-preserving atom permutation induced by a table element.
 
     Atoms whose shifted level stays inside their tower map there directly;
@@ -293,9 +276,11 @@ def atom_action(g: TableElement, partition: KRPartition) -> AtomPerm:
     height order.  Whether this completion is faithful is exactly what the
     embedding report checks.
     """
-    exps = atom_exponents(g, partition)
-    atoms = partition.atoms()
-    images = [None] * len(atoms)
+    return _tower_perm(atom_exponents(g, partition), partition)
+
+
+def _tower_perm(exps, partition: KRPartition) -> Perm:
+    images = [None] * len(exps)
     start = 0
     for tower in partition.towers:
         h = tower.height
@@ -314,14 +299,14 @@ def atom_action(g: TableElement, partition: KRPartition) -> AtomPerm:
         for i, j in zip(unmapped_src, unmapped_tgt):
             images[start + i] = start + j
         start += h
-    return AtomPerm(Perm(tuple(images)))
+    return Perm(tuple(images))
 
 
 @dataclass(frozen=True)
 class EmbeddingEntry:
     word: ReducedWord
     element: TableElement
-    image: AtomPerm
+    image: Perm
     exponents: tuple[int, ...]
 
 
@@ -329,14 +314,18 @@ class EmbeddingEntry:
 class EmbeddingReport:
     """Verification record for a candidate local embedding on a ball."""
 
-    radius: int
+    ball: Ball
     atom_count: int
     entries: tuple[EmbeddingEntry, ...]
-    word_to_index: dict
+    word_to_index: dict     # ball word -> entry; empty unless every image exists
     injectivity_collisions: tuple
     multiplicativity_failures: tuple
     blockstab_failures: tuple
     cocycle_failures: tuple
+
+    @property
+    def radius(self) -> int:
+        return self.ball.radius
 
     @property
     def passed(self) -> bool:
@@ -349,7 +338,7 @@ class EmbeddingReport:
             return "embedding verified"
         return "embedding failed; deepen the partition and retry"
 
-    def image_of(self, word: ReducedWord) -> AtomPerm:
+    def image_of(self, word: ReducedWord) -> Perm:
         return self.entries[self.word_to_index[word]].image
 
     def to_json(self) -> str:
@@ -381,27 +370,24 @@ def local_embedding(generators, radius: int, partition: KRPartition) -> Embeddin
     ball = ball_elements(generators, radius)
     entries = []
     cocycle_failures = []
-    images_ok = True
     for word, elem in ball.representatives:
         try:
             exps = atom_exponents(elem, partition)
-            image = atom_action(elem, partition)
         except CocycleNotConstantError as err:
             cocycle_failures.append((word, err.atom_index))
-            images_ok = False
             continue
-        entries.append(EmbeddingEntry(word, elem, image, exps))
-    if not images_ok:
-        return EmbeddingReport(radius, len(partition.atoms()), tuple(entries),
+        entries.append(EmbeddingEntry(word, elem, _tower_perm(exps, partition), exps))
+    if cocycle_failures:
+        return EmbeddingReport(ball.ball, len(partition.atoms()), tuple(entries),
                                {}, (), (), (), tuple(cocycle_failures))
 
     collisions = []
     seen: dict[Perm, ReducedWord] = {}
     for e in entries:
-        if e.image.perm in seen:
-            collisions.append((seen[e.image.perm], e.word))
+        if e.image in seen:
+            collisions.append((seen[e.image], e.word))
         else:
-            seen[e.image.perm] = e.word
+            seen[e.image] = e.word
 
     elem_index = {e.element: i for i, e in enumerate(entries)}
     mult_failures = []
@@ -411,7 +397,7 @@ def local_embedding(generators, radius: int, partition: KRPartition) -> Embeddin
             i = elem_index.get(product)
             if i is None:
                 continue
-            if entries[i].image.perm != a.image.perm * b.image.perm:
+            if entries[i].image != a.image * b.image:
                 mult_failures.append((a.word, b.word))
 
     blockstab_failures = []
@@ -422,13 +408,11 @@ def local_embedding(generators, radius: int, partition: KRPartition) -> Embeddin
         for idx, atom in enumerate(atoms):
             fixes_point = witnesses[idx].cocycle(e.element) == 0
             exponent_zero = e.exponents[idx] == 0
-            fixes_atom = e.image.perm(idx) == idx
+            fixes_atom = e.image(idx) == idx
             if not (fixes_point == exponent_zero == fixes_atom):
                 blockstab_failures.append((e.word, idx))
 
-    word_to_index = {w: elem_index[ball.representatives[i][1]]
-                     for w, i in ball.word_to_index.items()}
-    return EmbeddingReport(radius, len(atoms), tuple(entries), word_to_index,
+    return EmbeddingReport(ball.ball, len(atoms), tuple(entries), ball.word_to_index,
                            tuple(collisions), tuple(mult_failures),
                            tuple(blockstab_failures), tuple(cocycle_failures))
 
@@ -473,15 +457,22 @@ def fullgroup_irs(partition: KRPartition, generators, k: int, radius: int,
     For every k-tuple of atoms the fingerprint collects the ball words whose
     atom permutation fixes each coordinate; the tuple carries the product of
     atom masses (each atom weighs as much as its tower base).  A passed
-    ``embedding`` must be the report for this partition at this radius.
+    ``embedding`` must be the report for these generators on this partition
+    at this radius.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    report = embedding or local_embedding(generators, radius, partition)
+    if len(partition.atoms()) ** k > _TUPLE_CAP:
+        raise ResourceLimitError(f"{len(partition.atoms())}^{k} atom tuples "
+                                 f"exceed the cap {_TUPLE_CAP}")
+    gens = list(generators)
+    report = embedding or local_embedding(gens, radius, partition)
+    if report.ball.rank != len(gens):
+        raise ValueError(f"embedding report of rank {report.ball.rank} does not "
+                         f"match {len(gens)} generators")
     if not report.passed:
         raise ValueError(report.recommendation)
-    ball, fixed, atom_mass = _atom_fixation(partition, generators, radius,
-                                            measure, report)
+    ball, fixed, atom_mass = _atom_fixation(partition, radius, measure, report)
 
     def blocks():
         # one block per choice of the first k-1 atoms, in itertools.product order
@@ -497,19 +488,18 @@ def fullgroup_irs(partition: KRPartition, generators, k: int, radius: int,
     return EmpiricalIRS(radius, masses, exact=False, sum_tolerance=slack)
 
 
-def _atom_fixation(partition, generators, radius, measure, report):
+def _atom_fixation(partition, radius, measure, report):
     """The ball, its (atoms x ball) fixation matrix read off the embedding's
     atom permutations, and each atom's mass (that of its tower base)."""
     if report.radius != radius or report.atom_count != len(partition.atoms()):
         raise ValueError(
             f"embedding report of radius {report.radius} on {report.atom_count} "
             f"atoms does not match radius {radius} on {len(partition.atoms())} atoms")
-    ball = enumerate_ball(len(list(generators)), radius)
-    images = np.array([report.image_of(w).perm.images for w in ball.words])
+    images = np.array([report.image_of(w).images for w in report.ball.words])
     fixed = (images == np.arange(images.shape[1])).T
     atom_mass = [measure.measure(partition.towers[a.tower].base)
                  for a in partition.atoms()]
-    return ball, fixed, atom_mass
+    return report.ball, fixed, atom_mass
 
 
 @dataclass(frozen=True)
@@ -538,15 +528,13 @@ def fullgroup_irs_limit_check(sub: Substitution, generators, k: int, radius: int
     that marginalizing the k-fold tuple measure onto its first coordinate
     reproduces the 1-point distribution.
     """
-    from .irs import irs_distance
-
+    gens = list(generators)
     levels = []
     partitions = []
     for seed in seeds:
-        partition = adapted_partition(sub, generators, radius, seed)
-        report = local_embedding(generators, radius, partition)
-        irs = fullgroup_irs(partition, generators, k, radius, measure,
-                            embedding=report)
+        partition = adapted_partition(sub, gens, radius, seed)
+        report = local_embedding(gens, radius, partition)
+        irs = fullgroup_irs(partition, gens, k, radius, measure, embedding=report)
         levels.append(LimitLevel(seed, len(partition.atoms()),
                                  partition.min_height, irs))
         partitions.append((partition, report))
@@ -555,9 +543,8 @@ def fullgroup_irs_limit_check(sub: Substitution, generators, k: int, radius: int
 
     # first-coordinate marginal of the k-tuple construction vs the 1-point IRS
     partition, report = partitions[0]
-    one = fullgroup_irs(partition, generators, 1, radius, measure, embedding=report)
-    marginal = _first_coordinate_marginal(partition, generators, k, radius,
-                                          measure, report)
+    one = fullgroup_irs(partition, gens, 1, radius, measure, embedding=report)
+    marginal = _first_coordinate_marginal(partition, k, radius, measure, report)
     gap = 0.0
     for fp in set(one.masses) | set(marginal.masses):
         gap = max(gap, abs(one.masses.get(fp, 0.0) - marginal.masses.get(fp, 0.0)))
@@ -566,10 +553,8 @@ def fullgroup_irs_limit_check(sub: Substitution, generators, k: int, radius: int
     return LimitCheckReport(k, radius, tuple(levels), tv, gap, supports)
 
 
-def _first_coordinate_marginal(partition, generators, k, radius, measure,
-                               report) -> EmpiricalIRS:
-    ball, fixed, atom_mass = _atom_fixation(partition, generators, radius,
-                                            measure, report)
+def _first_coordinate_marginal(partition, k, radius, measure, report) -> EmpiricalIRS:
+    ball, fixed, atom_mass = _atom_fixation(partition, radius, measure, report)
     total = sum(atom_mass)
     masses = fingerprint_masses(
         ball, [(fixed, [m * total ** (k - 1) for m in atom_mass])])

@@ -178,7 +178,6 @@ def run_subshift_kr(opts: dict) -> None:
         atomic_write(os.path.join(opts["out"], f"kr_{seed_word}.json"),
                      partition_to_json(part))
         mass = sum(t.height * measure.measure(t.base) for t in part.towers)
-        part.validate()
         rows.append([seed_word, len(part.towers), len(part.atoms()),
                      part.min_height, abs(mass - 1.0), 1])
     write_csv(os.path.join(opts["out"], "kr_checks.csv"),

@@ -218,10 +218,13 @@ class SeparationReport:
     passed: bool
 
 
-def _as_words(words) -> tuple[ReducedWord, ...]:
+def moved_fractions(gens: GenTuple, words) -> tuple[tuple[ReducedWord, Fraction], ...]:
+    """Each word with the fraction of points its evaluation moves, which is its
+    Hamming distance from the identity; a WordSet is read in shortlex order."""
     if isinstance(words, WordSet):
-        return words.sorted_words()
-    return tuple(words)
+        words = words.sorted_words()
+    n = gens.degree
+    return tuple((w, Fraction(n - word_eval(w, gens).fixed_count(), n)) for w in words)
 
 
 def check_almost_solution(gens: GenTuple, relators, delta) -> AlmostSolutionReport:
@@ -229,9 +232,7 @@ def check_almost_solution(gens: GenTuple, relators, delta) -> AlmostSolutionRepo
     delta = Fraction(delta)
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
-    ident = identity_perm(gens.degree)
-    dists = tuple((w, hamming_distance(word_eval(w, gens), ident))
-                  for w in _as_words(relators))
+    dists = moved_fractions(gens, relators)
     max_d = max((d for _, d in dists), default=None)
     passed = all(d < delta for _, d in dists)
     return AlmostSolutionReport(dists, max_d, delta, passed)
@@ -243,9 +244,7 @@ def check_separating(gens: GenTuple, witnesses, delta) -> SeparationReport:
     delta = Fraction(delta)
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
-    ident = identity_perm(gens.degree)
-    dists = tuple((w, hamming_distance(word_eval(w, gens), ident))
-                  for w in _as_words(witnesses))
+    dists = moved_fractions(gens, witnesses)
     min_d = min((d for _, d in dists), default=None)
     passed = all(d > 1 - delta for _, d in dists)
     return SeparationReport(dists, min_d, delta, passed)

@@ -56,7 +56,7 @@ def expected_fullgroup_irs(partition, report, k, radius, measure) -> dict:
     ball = enumerate_ball(report.entries[0].word.rank, radius)
     atoms = partition.atoms()
     atom_mass = [measure.measure(partition.towers[a.tower].base) for a in atoms]
-    perms = [report.image_of(w).perm for w in ball.words]
+    perms = [report.image_of(w) for w in ball.words]
     fixing = [frozenset(w for w, p in zip(ball.words, perms) if p(idx) == idx)
               for idx in range(len(atoms))]
     masses: dict = {}

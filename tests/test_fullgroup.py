@@ -4,16 +4,18 @@ import random
 import pytest
 
 from oracles import expected_fullgroup_irs
-from stabilitylab.fullgroup import (CocycleNotConstantError,
+from stabilitylab import fullgroup
+from stabilitylab.fullgroup import (CocycleNotConstantError, TableElement,
                                     adapted_partition, atom_action,
                                     atom_exponents, ball_elements,
                                     element_to_json, fullgroup_irs,
                                     fullgroup_irs_limit_check, identity_element,
-                                    local_embedding, make_element, point_inside,
+                                    local_embedding, point_inside,
                                     sample_points, three_cycle, tower_gadgets)
 from stabilitylab.subshift import (ErgodicMeasure, cylinder, fibonacci, full_set,
                                    kr_partition)
-from stabilitylab.words import identity, word_from_string
+from stabilitylab.words import (ReducedWord, ResourceLimitError, enumerate_ball,
+                                identity, word_from_string)
 
 FIB = fibonacci()
 
@@ -39,21 +41,21 @@ class TestTableElement:
         assert e.parts[0][1] == 0
 
     def test_shift_itself_is_an_element(self):
-        t = make_element(FIB, [(full_set(FIB), 1)])
+        t = TableElement(FIB, [(full_set(FIB), 1)])
         assert not t.is_identity
         assert t.max_exponent() == 1
 
     def test_non_covering_parts_rejected(self):
         with pytest.raises(ValueError, match="partition"):
-            make_element(FIB, [(cylinder(FIB, "a"), 0)])
+            TableElement(FIB, [(cylinder(FIB, "a"), 0)])
 
     def test_overlapping_images_rejected(self):
         # domains partition, but [a] and T([b]) overlap (the word "ba" happens)
         with pytest.raises(ValueError, match="bijection"):
-            make_element(FIB, [(cylinder(FIB, "a"), 0), (cylinder(FIB, "b"), 1)])
+            TableElement(FIB, [(cylinder(FIB, "a"), 0), (cylinder(FIB, "b"), 1)])
 
     def test_equal_exponent_parts_merge(self):
-        split = make_element(FIB, [(cylinder(FIB, "a"), 0), (cylinder(FIB, "b"), 0)])
+        split = TableElement(FIB, [(cylinder(FIB, "a"), 0), (cylinder(FIB, "b"), 0)])
         assert split == identity_element(FIB)
 
     def test_group_laws(self, gadgets):
@@ -93,6 +95,11 @@ class TestCocycle:
     def test_identity_cocycle_everywhere_zero(self):
         for point in sample_points(FIB, 5, margin=4, seed=0):
             assert point.cocycle(identity_element(FIB)) == 0
+
+    def test_point_inside_string_cap(self, monkeypatch):
+        monkeypatch.setattr(fullgroup, "_STRING_CAP", 5000)
+        with pytest.raises(ResourceLimitError, match="below the cap"):
+            point_inside(cylinder(FIB, "aabaa"), margin=10_000)
 
     def test_apply_moves_origin(self, gadgets):
         g1, _ = gadgets
@@ -142,25 +149,60 @@ class TestBallElements:
         assert sizes == oracle == [5, 9, 9]
 
     def test_word_map_covers_whole_ball(self, gadgets):
-        from stabilitylab.words import enumerate_ball
         ball = ball_elements(gadgets, 2)
         assert set(ball.word_to_index) == set(enumerate_ball(2, 2).words)
+        assert ball.ball == enumerate_ball(2, 2)
+
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3])
+    def test_matches_letter_by_letter_products(self, radius):
+        # fold every ball word into a product letter by letter; an element is
+        # represented by the shortlex-least word reaching it
+        gens = _nonabelian()
+        words_of: dict = {}
+        for word in enumerate_ball(2, radius).words:
+            elem = identity_element(FIB)
+            for letter in word.letters:
+                g = gens[abs(letter) - 1]
+                elem = elem * (g if letter > 0 else g.inverse())
+            words_of.setdefault(elem, []).append(word)
+        reps = sorted(((min(ws, key=ReducedWord.sort_key), e)
+                       for e, ws in words_of.items()),
+                      key=lambda we: we[0].sort_key())
+        ball = ball_elements(gens, radius)
+        assert ball.representatives == tuple(reps)
+        for word, i in ball.word_to_index.items():
+            assert word in words_of[reps[i][1]]
+
+    def test_element_cap(self, monkeypatch):
+        monkeypatch.setattr(fullgroup, "_ELEMENT_CAP", 5)
+        assert len(ball_elements(_nonabelian(), 1).representatives) == 5
+        monkeypatch.setattr(fullgroup, "_ELEMENT_CAP", 4)
+        with pytest.raises(ResourceLimitError, match="element cap"):
+            ball_elements(_nonabelian(), 1)
 
 
 class TestAtomAction:
     def test_identity_action(self):
-        part = kr_partition(FIB, "aa")
-        action = atom_action(identity_element(FIB), part)
-        assert action.perm.is_identity
-        assert action.tower_preserving
+        action = atom_action(identity_element(FIB), kr_partition(FIB, "aa"))
+        assert action.is_identity
+
+    def test_nonabelian_ball_stays_in_towers(self):
+        gens = _nonabelian()
+        part = adapted_partition(FIB, gens, 2, "abaab")
+        atoms = part.atoms()
+        for _, elem in ball_elements(gens, 2).representatives:
+            action = atom_action(elem, part)
+            assert sorted(action.images) == list(range(len(atoms)))
+            for idx, atom in enumerate(atoms):
+                assert atoms[action(idx)].tower == atom.tower
 
     def test_pure_shift_rotates_towers(self):
         part = kr_partition(FIB, "aa")  # heights 3 and 5
-        t = make_element(FIB, [(full_set(FIB), 1)])
+        t = TableElement(FIB, [(full_set(FIB), 1)])
         action = atom_action(t, part)
         atoms = part.atoms()
         for idx, atom in enumerate(atoms):
-            target = atoms[action.perm(idx)]
+            target = atoms[action(idx)]
             assert target.tower == atom.tower
             height = part.towers[atom.tower].height
             assert target.level == (atom.level + 1) % height
@@ -178,7 +220,7 @@ class TestAtomAction:
         atoms = part.atoms()
         for idx, atom in enumerate(atoms):
             if exps[idx] != 0:
-                target = atoms[action.perm(idx)]
+                target = atoms[action(idx)]
                 assert target.tower == atom.tower
                 assert target.level == atom.level + exps[idx]
 
@@ -205,7 +247,7 @@ class TestAdaptedPartition:
         from stabilitylab.subshift import full_set
         from stabilitylab.words import ResourceLimitError
 
-        shift_by_five = make_element(FIB, [(full_set(FIB), 5)])
+        shift_by_five = TableElement(FIB, [(full_set(FIB), 5)])
         with pytest.raises(ResourceLimitError, match="need 12"):
             adapted_partition(FIB, [shift_by_five], 1, "aa", max_seed_length=3)
 
@@ -231,9 +273,9 @@ class TestLocalEmbedding:
         w1 = word_from_string("a", 2)
         w2 = word_from_string("b", 2)
         moved1 = {i for i in range(report.atom_count)
-                  if report.image_of(w1).perm(i) != i}
+                  if report.image_of(w1)(i) != i}
         moved2 = {i for i in range(report.atom_count)
-                  if report.image_of(w2).perm(i) != i}
+                  if report.image_of(w2)(i) != i}
         assert moved1 and moved2 and not (moved1 & moved2)
 
     def test_under_refined_reported_not_bogus(self, gadgets):
@@ -241,6 +283,15 @@ class TestLocalEmbedding:
         assert not report.passed
         assert report.cocycle_failures
         assert "deepen" in report.recommendation
+
+    def test_report_carries_the_ball(self, gadgets):
+        part = adapted_partition(FIB, gadgets, 2, "aa")
+        report = local_embedding(gadgets, 2, part)
+        ball = ball_elements(gadgets, 2)
+        assert report.ball == ball.ball and report.radius == 2
+        assert report.word_to_index == ball.word_to_index
+        for word, i in ball.word_to_index.items():
+            assert report.image_of(word) == atom_action(ball.representatives[i][1], part)
 
     def test_json_report(self, gadgets):
         part = adapted_partition(FIB, gadgets, 1, "aa")
@@ -258,7 +309,7 @@ class TestFullgroupIRS:
         assert irs.masses[fp] == pytest.approx(1.0, abs=1e-8)
 
     def test_shift_generator_fixes_nothing(self, measure):
-        t = make_element(FIB, [(full_set(FIB), 1)])
+        t = TableElement(FIB, [(full_set(FIB), 1)])
         part = adapted_partition(FIB, [t], 1, "aa")
         irs = fullgroup_irs(part, [t], 1, 1, measure)
         [fp] = irs.support()
@@ -294,6 +345,27 @@ class TestFullgroupIRS:
         irs = fullgroup_irs(part, gens, k, radius, measure, embedding=report)
         assert irs.masses == expected_fullgroup_irs(part, report, k, radius, measure)
 
+    def test_one_shot_generators(self, gadgets, measure):
+        part = adapted_partition(FIB, gadgets, 1, "aa")
+        assert ball_elements(iter(gadgets), 2) == ball_elements(gadgets, 2)
+        assert adapted_partition(FIB, iter(gadgets), 1, "aa").atoms() == part.atoms()
+        for k in (1, 2):
+            assert fullgroup_irs(part, iter(gadgets), k, 1, measure).masses == \
+                fullgroup_irs(part, gadgets, k, 1, measure).masses
+
+    def test_tuple_cap(self, gadgets, measure, monkeypatch):
+        part = adapted_partition(FIB, gadgets, 1, "aa")
+        assert len(part.atoms()) == 21
+        with pytest.raises(ResourceLimitError, match=r"21\^6 atom tuples"):
+            fullgroup_irs(part, gadgets, 6, 1, measure)
+        monkeypatch.setattr(fullgroup, "_TUPLE_CAP", 21 ** 2)
+        fullgroup_irs(part, gadgets, 2, 1, measure)
+        monkeypatch.setattr(fullgroup, "_TUPLE_CAP", 21 ** 2 - 1)
+        with pytest.raises(ResourceLimitError, match="exceed the cap"):
+            fullgroup_irs(part, gadgets, 2, 1, measure)
+        with pytest.raises(ResourceLimitError, match="exceed the cap"):
+            fullgroup_irs_limit_check(FIB, gadgets, 2, 1, ["aa"], measure)
+
     def test_report_of_another_partition_rejected(self, measure):
         gens = _nonabelian()
         coarse = adapted_partition(FIB, gens, 1, "abaab")
@@ -303,6 +375,12 @@ class TestFullgroupIRS:
         for radius in (1, 2):
             with pytest.raises(ValueError, match="does not match"):
                 fullgroup_irs(coarse, gens, 1, radius, measure, embedding=fine_report)
+
+    def test_report_of_other_generators_rejected(self, gadgets, measure):
+        part = adapted_partition(FIB, gadgets, 1, "aa")
+        report = local_embedding(gadgets, 1, part)
+        with pytest.raises(ValueError, match="rank 2 does not match 1 generators"):
+            fullgroup_irs(part, gadgets[:1], 1, 1, measure, embedding=report)
 
     def test_report_of_smaller_radius_rejected(self, measure):
         gens = _nonabelian()
@@ -348,6 +426,13 @@ class TestLimitCheck:
         atoms = max(l.atom_count for l in report.levels)
         assert report.tv_matrix[0][1] <= 2 * atoms * 1e-9
         assert report.marginal_supports_match
+
+    def test_one_shot_generators(self, gadgets, measure):
+        once = fullgroup_irs_limit_check(FIB, iter(gadgets), 2, 1, ["aa", "ab"], measure)
+        listed = fullgroup_irs_limit_check(FIB, gadgets, 2, 1, ["aa", "ab"], measure)
+        assert [l.irs.masses for l in once.levels] == [l.irs.masses for l in listed.levels]
+        assert (once.tv_matrix, once.marginal_max_gap, once.marginal_supports_match) == \
+            (listed.tv_matrix, listed.marginal_max_gap, listed.marginal_supports_match)
 
     def test_k2_marginal(self, gadgets, measure):
         report = fullgroup_irs_limit_check(FIB, gadgets, 2, 1, ["aa"], measure)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from stabilitylab.perms import (GenTuple, Perm, alt_marking, ball_images,
                                 check_almost_solution, check_separating,
                                 generate_closure, hamming_distance, identity_perm,
-                                parse_perm, perm_from_cycles, perm_to_line,
-                                tuple_distance, word_eval)
+                                moved_fractions, parse_perm, perm_from_cycles,
+                                perm_to_line, tuple_distance, word_eval)
 from stabilitylab.words import WordSet, enumerate_ball, identity, word_from_string
 
 perm5 = st.permutations(range(5)).map(lambda xs: Perm(tuple(xs)))
@@ -128,6 +128,17 @@ class TestCheckers:
     def test_bad_delta(self):
         with pytest.raises(ValueError):
             check_almost_solution(alt_marking(2), [], 0)
+
+    def test_moved_fractions_are_hamming_distances(self):
+        gt = alt_marking(2)
+        ball = enumerate_ball(2, 3)
+        expected = tuple((u, hamming_distance(word_eval(u, gt), identity_perm(5)))
+                         for u in ball.words)
+        assert moved_fractions(gt, ball.words) == expected
+        # a WordSet is read in shortlex order, whatever its set order
+        assert moved_fractions(gt, WordSet(3, frozenset(ball.words))) == expected
+        assert check_almost_solution(gt, ball.words, 1).distances == expected
+        assert check_separating(gt, ball.words, 1).distances == expected
 
 
 class TestTupleDistance:
