@@ -42,7 +42,7 @@ class CocycleNotConstantError(ValueError):
 class TableElement:
     """A full-group element: clopen parts with shift exponents."""
 
-    __slots__ = ("sub", "parts", "_key")
+    __slots__ = ("sub", "parts")
 
     def __init__(self, sub: Substitution, parts, _validated: bool = False):
         merged: dict[int, ClopenSet] = {}
@@ -59,8 +59,6 @@ class TableElement:
             raise ValueError("a table element needs at least one nonempty part")
         self.sub = sub
         self.parts = table
-        self._key = tuple((a, c.resolution, tuple(sorted(c.members)))
-                          for c, a in table)
         if not _validated:
             self._validate()
 
@@ -99,10 +97,11 @@ class TableElement:
     def __eq__(self, other):
         if not isinstance(other, TableElement):
             return NotImplemented
-        return self.sub == other.sub and self._key == other._key
+        # parts are reduced clopen sets in exponent order: a canonical form
+        return self.sub == other.sub and self.parts == other.parts
 
     def __hash__(self):
-        return hash(self._key)
+        return hash(self.parts)
 
     def __repr__(self):
         return "Table(%s)" % ", ".join(f"T^{a} on {len(c.members)}w" for c, a in self.parts)
@@ -443,10 +442,9 @@ def adapted_partition(sub: Substitution, generators, radius: int, seed_word: str
                 f"seed {word!r} reaches min height {partition.min_height}, "
                 f"need {required}")
         word = extensions[0]
-    for _, elem in ball.representatives:
-        if len(elem.parts) > 1:
-            partition = refine_kr(partition, [c for c, _ in elem.parts])
-    return partition
+    return refine_kr(partition, *([c for c, _ in elem.parts]
+                                  for _, elem in ball.representatives
+                                  if len(elem.parts) > 1))
 
 
 def fullgroup_irs(partition: KRPartition, generators, k: int, radius: int,

@@ -66,7 +66,10 @@ def merge_config(args: argparse.Namespace, defaults: dict) -> dict:
         for key, value in config.items():
             if key not in merged:
                 raise SystemExit(f"unknown config field {key!r}")
-            merged[key] = type(defaults[key])(value)
+            try:
+                merged[key] = type(defaults[key])(value)
+            except ValueError:
+                raise SystemExit(f"bad value {value!r} for config field {key!r}") from None
     for key in merged:
         flag_value = getattr(args, key, None)
         if flag_value is not None:

@@ -20,6 +20,7 @@ from .words import InvariantError, ResourceLimitError
 
 RESOLUTION_CAP = 64
 _STRING_CAP = 4_000_000
+_MAX_LEVEL = 400         # substitution iterates tried before frequencies must settle
 
 
 class Substitution:
@@ -129,12 +130,12 @@ class Substitution:
             lens = {x: sum(lens[y] for y in self.images[x]) for x in self.alphabet}
         return lens
 
-    def long_word(self, min_length: int, cap: int = _STRING_CAP) -> str:
+    def long_word(self, min_length: int) -> str:
         """An admissible word of at least the requested length (an iterate of
         the first letter)."""
         level = 0
         while len(s := self.expansion(self.alphabet[0], level)) < min_length:
-            if len(s) > cap:
+            if len(s) > _STRING_CAP:
                 raise ResourceLimitError("iterate exceeds the string cap")
             level += 1
         return s
@@ -144,7 +145,7 @@ class Substitution:
     def _stable_pairs(self) -> frozenset:
         if self._pairs is not None:
             return self._pairs
-        seed = self.long_word(2, cap=_STRING_CAP)
+        seed = self.long_word(2)
         pairs = {seed[i:i + 2] for i in range(len(seed) - 1)}
         while True:
             grown = set(pairs)
@@ -234,9 +235,9 @@ class ClopenSet:
         members = frozenset(members)
         width = 2 * resolution + 1
         lang = sub.factor_set(width)
-        for w in members:
-            if len(w) != width or w not in lang:
-                raise ValueError(f"window word {w!r} is not admissible at width {width}")
+        if not members <= lang:
+            raise ValueError(f"window word {min(members - lang)!r} is not "
+                             f"admissible at width {width}")
         self.sub = sub
         self.resolution = resolution
         self.members = members
@@ -421,18 +422,15 @@ class ErgodicMeasure:
     frequencies are cross-checked against the Perron eigenvector.
     """
 
-    def __init__(self, sub: Substitution, tolerance: float = 1e-9,
-                 max_level: int = 400):
+    def __init__(self, sub: Substitution, tolerance: float = 1e-9):
         self.sub = sub
         self.tolerance = tolerance
-        self.max_level = max_level
         self._threshold = Fraction(tolerance).limit_denominator(10**15) / 1000
         self._tables: dict[int, dict[str, float]] = {}
 
     def _table(self, length: int) -> dict[str, float]:
         if length not in self._tables:
-            exact = _frequency_table(self.sub, length, self._threshold,
-                                     self.max_level)
+            exact = _frequency_table(self.sub, length, self._threshold)
             table = {w: float(f) for w, f in exact.items()}
             if length == 1:
                 perron = self.sub.perron_vector()
@@ -459,8 +457,8 @@ class ErgodicMeasure:
         return len(clopen.members) * self.tolerance
 
 
-def _frequency_table(sub: Substitution, length: int, threshold: Fraction,
-                     max_level: int) -> dict[str, Fraction]:
+def _frequency_table(sub: Substitution, length: int,
+                     threshold: Fraction) -> dict[str, Fraction]:
     """Exact block frequencies in a deep substitution iterate of the first letter.
 
     Counts per level satisfy an exact recursion: blocks of the next iterate
@@ -499,9 +497,9 @@ def _frequency_table(sub: Substitution, length: int, threshold: Fraction,
                 return freq
         prev = freq
         level += 1
-        if level > max_level:
+        if level > _MAX_LEVEL:
             raise ResourceLimitError(
-                f"frequencies did not stabilize within {max_level} levels")
+                f"frequencies did not stabilize within {_MAX_LEVEL} levels")
         new_counts, new_pre, new_suf, new_total = {}, {}, {}, {}
         for x in letters:
             ys = sub.images[x]
@@ -522,8 +520,7 @@ def _frequency_table(sub: Substitution, length: int, threshold: Fraction,
 # ---------------------------------------------------------------------------
 # return words and Kakutani-Rokhlin partitions
 
-def return_words(sub: Substitution, word: str,
-                 string_cap: int = _STRING_CAP) -> tuple[str, ...]:
+def return_words(sub: Substitution, word: str) -> tuple[str, ...]:
     """Gap words between consecutive occurrences of an admissible word.
 
     For each returned w, the witness w+word is admissible and contains the
@@ -545,7 +542,7 @@ def return_words(sub: Substitution, word: str,
         if gaps and gaps == prev:
             return tuple(sorted(gaps, key=lambda w: (len(w), w)))
         prev = gaps
-        if len(s) > string_cap:
+        if len(s) > _STRING_CAP:
             raise ResourceLimitError(
                 f"return words of {word!r} did not stabilize below the string cap")
         s = sub.apply(s)
@@ -628,41 +625,42 @@ def kr_partition(sub: Substitution, word: str) -> KRPartition:
     return KRPartition(sub, towers)
 
 
-def refine_kr(partition: KRPartition, pieces) -> KRPartition:
-    """Common refinement of a tower partition with a clopen partition.
+def refine_kr(partition: KRPartition, *stages) -> KRPartition:
+    """Common refinement of a tower partition with clopen partitions, in turn.
 
-    Each base splits by the itinerary of its levels through the pieces; the
-    subtowers keep their height, so base, roof and minimal height survive
-    unchanged, and every refined atom lies inside a single piece.  A point
-    lies in T^-i(p) exactly when its window, cut to p's resolution around
-    coordinate i, is a member of p, so itineraries are read by slicing the
-    base windows.
+    Each stage of pieces splits every base by the itinerary of its levels
+    through them; subtowers keep their height, so base, roof and minimal
+    height survive, and each refined atom lies inside one piece per stage.
+    A point lies in T^-i(p) exactly when its window, cut to p's resolution
+    around coordinate i, is a member of p, so itineraries are read by slicing
+    the base windows.  Only the final partition is built and validated.
     """
-    pieces = [p for p in pieces if not p.is_empty]
-    sub = partition.sub
-    if not is_partition(sub, pieces):
-        raise ValueError("the refining pieces do not form a clopen partition")
-    reach = max(p.resolution for p in pieces)
-    new_towers = []
-    for tower in partition.towers:
-        height = tower.height
-        level = max(tower.base.resolution, reach + height - 1)
-        base = tower.base.at_resolution(level)
-        groups: dict[tuple, set] = {}
-        for member in base.members:
-            itinerary = []
-            for mid in range(level, level + height):  # coordinates 0..height-1
-                hits = [j for j, p in enumerate(pieces)
-                        if member[mid - p.resolution:mid + p.resolution + 1] in p.members]
-                if len(hits) != 1:
-                    raise InvariantError("pieces failed to split a base window")
-                itinerary.append(hits[0])
-            groups.setdefault(tuple(itinerary), set()).add(member)
-        for j, key in enumerate(sorted(groups)):
-            sub_base = ClopenSet(sub, level, groups[key]).reduce()
-            label = f"{tower.label}/{j}" if tower.label else str(j)
-            new_towers.append(Tower(sub_base, height, label=label))
-    return KRPartition(sub, new_towers)
+    sub, towers = partition.sub, partition.towers
+    for pieces in stages:
+        pieces = [p for p in pieces if not p.is_empty]
+        if not is_partition(sub, pieces):
+            raise ValueError("the refining pieces do not form a clopen partition")
+        reach = max(p.resolution for p in pieces)
+        split = []
+        for tower in towers:
+            height = tower.height
+            level = max(tower.base.resolution, reach + height - 1)
+            groups: dict[tuple, set] = {}
+            for member in tower.base.at_resolution(level).members:
+                itinerary = []
+                for mid in range(level, level + height):  # coordinates 0..height-1
+                    hits = [j for j, p in enumerate(pieces)
+                            if member[mid - p.resolution:mid + p.resolution + 1] in p.members]
+                    if len(hits) != 1:
+                        raise InvariantError("pieces failed to split a base window")
+                    itinerary.append(hits[0])
+                groups.setdefault(tuple(itinerary), set()).add(member)
+            for j, key in enumerate(sorted(groups)):
+                sub_base = ClopenSet(sub, level, groups[key]).reduce()
+                label = f"{tower.label}/{j}" if tower.label else str(j)
+                split.append(Tower(sub_base, height, label=label))
+        towers = split
+    return KRPartition(sub, towers)
 
 
 def partition_to_json(partition: KRPartition) -> str:

@@ -57,6 +57,14 @@ class TestTableElement:
     def test_equal_exponent_parts_merge(self):
         split = TableElement(FIB, [(cylinder(FIB, "a"), 0), (cylinder(FIB, "b"), 0)])
         assert split == identity_element(FIB)
+        assert hash(split) == hash(identity_element(FIB))
+        # the same element with its parts split by the letter at 0, or lifted
+        g = three_cycle(cylinder(FIB, "aa"))
+        halves = [(c.intersect(cylinder(FIB, ch)), a) for c, a in g.parts for ch in "ab"]
+        lifted = [(c.at_resolution(c.resolution + 2), a) for c, a in g.parts]
+        for parts in (halves, lifted):
+            rebuilt = TableElement(FIB, parts)
+            assert rebuilt == g and hash(rebuilt) == hash(g)
 
     def test_group_laws(self, gadgets):
         g1, g2 = gadgets

@@ -54,12 +54,18 @@ class TestCLI:
         tv_row = [r for r in rows if r.startswith("aa,aa")][0]
         assert float(tv_row.split(",")[2]) == 0.0
 
-    def test_reproducible_outputs(self, tmp_path):
+    @pytest.mark.parametrize("argv", [
+        ["dgen", "--instances", "4", "--size", "5"], ["subshift-kr"],
+        ["fullgroup-embed"], ["fullgroup-irs", "--k", "2"]],
+        ids=["dgen", "subshift-kr", "fullgroup-embed", "fullgroup-irs-k2"])
+    def test_reproducible_outputs(self, argv, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
-            assert main(["dgen", "--instances", "4", "--size", "5",
-                         "--out", str(out)]) == 0
-        assert (a / "dgen.csv").read_bytes() == (b / "dgen.csv").read_bytes()
+            assert main(argv + ["--out", str(out)]) == 0
+        names = sorted(p.name for p in a.iterdir())
+        assert names and names == sorted(p.name for p in b.iterdir())
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -88,6 +94,12 @@ class TestCLI:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("bogus=1\n")
         with pytest.raises(SystemExit, match="bogus"):
+            main(["dgen", "--config", str(cfg), "--out", str(tmp_path)])
+
+    def test_config_value_of_wrong_type(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("size=abc\n")
+        with pytest.raises(SystemExit, match="'abc' for config field 'size'"):
             main(["dgen", "--config", str(cfg), "--out", str(tmp_path)])
 
     def test_module_error_returns_nonzero(self, tmp_path, capsys):

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import expected_refine_kr
+from stabilitylab import subshift
 from stabilitylab.fullgroup import ball_elements, three_cycle
-from stabilitylab.subshift import (ClopenSet, ErgodicMeasure,
+from stabilitylab.subshift import (ClopenSet, ErgodicMeasure, KRPartition,
                                    Substitution, chacon, cylinder, empty_set,
                                    fibonacci, full_set, is_partition,
                                    kr_partition, refine_kr, return_words,
@@ -65,11 +66,13 @@ class TestSubstitution:
             assert sub.long_word(min_length) == s
             assert sub.long_word(min_length) == s  # served again from the cache
 
-    def test_long_word_cap(self):
+    def test_long_word_cap(self, monkeypatch):
         sub = fibonacci()  # iterate lengths 1, 2, 3, 5, 8, 13, ...
+        monkeypatch.setattr(subshift, "_STRING_CAP", 10)
         with pytest.raises(ResourceLimitError):
-            sub.long_word(100, cap=10)
-        assert sub.long_word(5, cap=3) == "abaab"
+            sub.long_word(100)
+        monkeypatch.setattr(subshift, "_STRING_CAP", 3)
+        assert sub.long_word(5) == "abaab"
 
 
 class TestLanguage:
@@ -136,6 +139,12 @@ class TestClopenAlgebra:
     def test_empty_set(self):
         assert empty_set(self.sub).is_empty
         assert self.a.minus(self.a).is_empty
+
+    def test_inadmissible_window_rejected(self):
+        # "bbb" never occurs; "ab" occurs but has the wrong width for resolution 1
+        for word in ("bbb", "ab"):
+            with pytest.raises(ValueError, match=f"{word!r} is not admissible"):
+                ClopenSet(self.sub, 1, {"aba", word})
 
     def test_inadmissible_cylinder(self):
         with pytest.raises(ValueError):
@@ -251,9 +260,11 @@ class TestReturnWords:
         with pytest.raises(ValueError):
             return_words(fibonacci(), "bb")
 
-    def test_scan_cap(self):
+    def test_scan_cap(self, monkeypatch):
+        # the first scanned iterate (length 89) fits under the cap, the next does not
+        monkeypatch.setattr(subshift, "_STRING_CAP", 64)
         with pytest.raises(ResourceLimitError, match="stabilize"):
-            return_words(fibonacci(), "a", string_cap=4)
+            return_words(fibonacci(), "a")
 
     @pytest.mark.parametrize("sub", [fibonacci(), thue_morse()])
     def test_definition_restated(self, sub):
@@ -361,9 +372,26 @@ class TestRefineMatchesPullAndLift:
     def test_nonabelian_ball_elements(self, seed):
         sub = fibonacci()
         gens = [three_cycle(cylinder(sub, "aa")), three_cycle(cylinder(sub, "baa"))]
-        part = kr_partition(sub, seed)
-        for _, elem in ball_elements(gens, 2).representatives:
-            pieces = [c for c, _ in elem.parts]
-            refined = refine_kr(part, pieces)
-            assert _towers(refined) == _towers(expected_refine_kr(part, pieces))
-            part = refined
+        start = kr_partition(sub, seed)
+        stages = [[c for c, _ in elem.parts]
+                  for _, elem in ball_elements(gens, 2).representatives]
+        part = expected = start
+        for pieces in stages:
+            part = refine_kr(part, pieces)
+            expected = expected_refine_kr(expected, pieces)
+            assert _towers(part) == _towers(expected)
+        # all stages in one call: same labels, heights and bases in the same order
+        assert _towers(refine_kr(start, *stages)) == _towers(expected)
+
+    def test_several_stages_validate_once(self, monkeypatch):
+        sub = fibonacci()
+        part = kr_partition(sub, "abaab")
+        stages = [[cylinder(sub, ch) for ch in sub.alphabet],
+                  [a.part for a in part.atoms()],
+                  [cylinder(sub, w) for w in sub.factors(3)]]
+        calls = []
+        validate = KRPartition.validate
+        monkeypatch.setattr(KRPartition, "validate",
+                            lambda self: calls.append(self) or validate(self))
+        refined = refine_kr(part, *stages)
+        assert calls == [refined]
