@@ -37,7 +37,7 @@ show("padded to 7 points", irs_of_gset(pad_gset(free3, 7), 1))
 # Atomic IRS of Alt(5): one third on the conjugates of <beta>, two thirds on
 # the trivial subgroup, realized by coset actions with cleared denominators.
 marking = alt_marking(2)
-elements = list(generate_closure(marking).elements)
+elements = list(generate_closure(marking))
 atoms = [([1], Fraction(1, 3)), ([], Fraction(2, 3))]
 gset = realize_irs_as_gset(elements, marking, atoms)
 print(f"realization uses {gset.size} points")

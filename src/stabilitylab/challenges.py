@@ -23,6 +23,8 @@ from .irs import FiniteGSet
 from .perms import GenTuple, Perm, ball_images, moved_fractions
 from .words import ReducedWord, ResourceLimitError, WordSet, enumerate_ball
 
+_EXACT_CAP = 8           # points of the actions d_gen_exact searches exhaustively
+
 
 @dataclass(frozen=True)
 class FSetPair:
@@ -34,6 +36,8 @@ class FSetPair:
             raise ValueError("the two actions must have the same size")
         if self.x.rank != self.y.rank:
             raise ValueError("the two actions must share a rank")
+        if self.x.size == 0:
+            raise ValueError("the actions need at least one point")
 
 
 def _check_bijection(f, size: int) -> tuple[int, ...]:
@@ -62,13 +66,13 @@ def gen_norm(f, x: FiniteGSet, y: FiniteGSet) -> Fraction:
     return Fraction(_mismatches(_check_bijection(f, size), xs, ys), size * rank)
 
 
-def d_gen_exact(x: FiniteGSet, y: FiniteGSet, cap: int = 8) -> Fraction:
+def d_gen_exact(x: FiniteGSet, y: FiniteGSet) -> Fraction:
     """Exhaustive minimum of the generator defect over all |X|! bijections."""
     size, rank, xs, ys = _pair_images(x, y)
-    if size > cap:
+    if size > _EXACT_CAP:
         raise ResourceLimitError(
             f"exhaustive search over {size}! bijections exceeds the cap "
-            f"({cap}); use d_gen_bound")
+            f"({_EXACT_CAP}); use d_gen_bound")
     best = size * rank
     for f in itertools.permutations(range(size)):
         count = _mismatches(f, xs, ys)

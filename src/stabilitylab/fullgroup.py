@@ -22,13 +22,15 @@ import numpy as np
 
 from .irs import EmpiricalIRS, fingerprint_masses, irs_distance
 from .perms import Perm
-from .subshift import (_STRING_CAP, ClopenSet, ErgodicMeasure, KRPartition,
-                       Substitution, full_set, is_partition, kr_partition, refine_kr)
+from .subshift import (ClopenSet, ErgodicMeasure, KRPartition, Substitution,
+                       full_set, is_partition, kr_partition, refine_kr,
+                       return_words)
 from .words import (Ball, InvariantError, ReducedWord, ResourceLimitError,
                     ball_levels, enumerate_ball)
 
 _ELEMENT_CAP = 4096      # distinct elements in a generator ball
 _TUPLE_CAP = 10**7       # atom k-tuples behind one stabilizer pushforward
+_SEED_CAP = 64           # length of the seed word adapted_partition deepens
 
 
 class CocycleNotConstantError(ValueError):
@@ -137,6 +139,8 @@ def tower_gadgets(sub: Substitution, word: str, count: int = 2) -> list[TableEle
     Bases of towers of height >= 3 have disjoint first shifts by the tower
     property, and distinct towers never meet, so the gadgets commute.
     """
+    if count < 1:
+        raise ValueError(f"need at least one gadget, got count={count}")
     partition = kr_partition(sub, word)
     gadgets = []
     for tower in sorted(partition.towers, key=lambda t: (t.height, t.label)):
@@ -195,10 +199,7 @@ def point_inside(part: ClopenSet, margin: int) -> SymbolicPoint:
         idx = text.find(member, margin)
         if idx != -1 and idx + len(member) + margin <= len(text):
             return SymbolicPoint(text, idx + part.resolution)
-        if len(text) > _STRING_CAP:
-            raise ResourceLimitError(
-                f"no occurrence of {member!r} with margin {margin} below the cap")
-        text = part.sub.apply(text)
+        text = part.sub.long_word(len(text) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -419,32 +420,29 @@ def local_embedding(generators, radius: int, partition: KRPartition) -> Embeddin
 # ---------------------------------------------------------------------------
 # stabilizer pushforwards
 
-def adapted_partition(sub: Substitution, generators, radius: int, seed_word: str,
-                      max_seed_length: int = 64) -> KRPartition:
+def adapted_partition(sub: Substitution, generators, radius: int,
+                      seed_word: str) -> KRPartition:
     """A tower partition tall enough for a ball and constant on its cocycles.
 
-    Deepens the seed word until the minimal tower height reaches twice the
-    largest table exponent plus two, then refines by every ball element's
-    cocycle partition.  Heights, base and roof survive the refinement.
+    Deepens the seed word until the minimal tower height, the length of its
+    shortest return word, reaches twice the largest table exponent plus two,
+    then refines by every ball element's cocycle partition.  Heights, base
+    and roof survive the refinement.
     """
     ball = ball_elements(generators, radius)
     max_exp = max(e.max_exponent() for _, e in ball.representatives)
     required = 2 * max_exp + 2
     word = seed_word
-    while True:
-        partition = kr_partition(sub, word)
-        if partition.min_height >= required:
-            break
+    while (height := len(return_words(sub, word)[0])) < required:
         extensions = [word + ch for ch in sub.alphabet
                       if sub.is_admissible(word + ch)]
-        if not extensions or len(word) >= max_seed_length:
+        if not extensions or len(word) >= _SEED_CAP:
             raise ResourceLimitError(
-                f"seed {word!r} reaches min height {partition.min_height}, "
-                f"need {required}")
+                f"seed {word!r} reaches min height {height}, need {required}")
         word = extensions[0]
-    return refine_kr(partition, *([c for c, _ in elem.parts]
-                                  for _, elem in ball.representatives
-                                  if len(elem.parts) > 1))
+    return refine_kr(kr_partition(sub, word),
+                     *([c for c, _ in elem.parts] for _, elem in ball.representatives
+                       if len(elem.parts) > 1))
 
 
 def fullgroup_irs(partition: KRPartition, generators, k: int, radius: int,
@@ -527,6 +525,9 @@ def fullgroup_irs_limit_check(sub: Substitution, generators, k: int, radius: int
     reproduces the 1-point distribution.
     """
     gens = list(generators)
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("need at least one partition level")
     levels = []
     partitions = []
     for seed in seeds:

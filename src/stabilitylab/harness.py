@@ -174,7 +174,7 @@ def run_vershik(opts: dict) -> None:
 
 def run_subshift_kr(opts: dict) -> None:
     sub = substitution_by_name(opts["substitution"])
-    measure = ErgodicMeasure(sub, tolerance=opts["tolerance"])
+    measure = ErgodicMeasure(sub)
     rows = []
     for seed_word in _names(opts["seeds"]):
         part = kr_partition(sub, seed_word)
@@ -185,7 +185,7 @@ def run_subshift_kr(opts: dict) -> None:
                      part.min_height, abs(mass - 1.0), 1])
     write_csv(os.path.join(opts["out"], "kr_checks.csv"),
               f"experiment: tower partitions of {opts['substitution']}; "
-              f"tolerance={opts['tolerance']}",
+              f"tolerance={measure.tolerance}",
               ["seed", "towers", "atoms", "min_height", "mass_defect",
                "valid"], rows)
 
@@ -210,7 +210,7 @@ def run_fullgroup_embed(opts: dict) -> None:
 def run_fullgroup_irs(opts: dict) -> None:
     sub = substitution_by_name(opts["substitution"])
     gadgets = tower_gadgets(sub, opts["gadget_seed"], opts["gadgets"])
-    measure = ErgodicMeasure(sub, tolerance=opts["tolerance"])
+    measure = ErgodicMeasure(sub)
     report = fullgroup_irs_limit_check(sub, gadgets, opts["k"], opts["radius"],
                                        _names(opts["levels"]), measure)
     for level in report.levels:
@@ -267,15 +267,13 @@ COMMANDS = {
         "alpha": "1/2,1/2", "ns": "20,40,80", "radius": 2, "samples": 100000,
         "window": 40, "out": ".", "seed": 7}),
     "subshift-kr": (run_subshift_kr, {
-        "substitution": "fibonacci", "seeds": "a,b,ab", "tolerance": 1e-9,
-        "out": "."}),
+        "substitution": "fibonacci", "seeds": "a,b,ab", "out": "."}),
     "fullgroup-embed": (run_fullgroup_embed, {
         "substitution": "fibonacci", "gadget_seed": "aa", "gadgets": 2,
         "radii": "1,2", "out": "."}),
     "fullgroup-irs": (run_fullgroup_irs, {
         "substitution": "fibonacci", "gadget_seed": "aa", "gadgets": 2,
-        "k": 1, "radius": 1, "levels": "aa,ab", "tolerance": 1e-9,
-        "out": "."}),
+        "k": 1, "radius": 1, "levels": "aa,ab", "out": "."}),
     "dgen": (run_dgen, {
         "size": 6, "instances": 100, "restarts": 30, "out": ".", "seed": 7}),
 }
@@ -294,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
             flag = "--" + key.replace("_", "-")
             if isinstance(default, int):
                 sp.add_argument(flag, type=int, default=None)
-            elif isinstance(default, float):
-                sp.add_argument(flag, type=float, default=None)
             else:
                 sp.add_argument(flag, default=None)
     return parser

@@ -23,6 +23,9 @@ from .perms import (GenTuple, Perm, alt_marking, ball_images, generate_closure,
 from .words import (Ball, InvariantError, ReducedWord, ResourceLimitError,
                     enumerate_ball, identity, word_from_string, word_to_string)
 
+_REALIZATION_CAP = 10**6     # points of one coset realization
+_ENUMERATION_CAP = 2 * 10**6  # colorings enumerated by the exact Vershik IRS
+
 
 @dataclass(frozen=True)
 class CylinderFingerprint:
@@ -357,15 +360,14 @@ def coset_action(elements, marking: GenTuple, subgroup: frozenset) -> FiniteGSet
     return FiniteGSet(GenTuple(tuple(perms)))
 
 
-def realize_irs_as_gset(elements, marking: GenTuple, atoms,
-                        size_cap: int = 10**6) -> FiniteGSet:
+def realize_irs_as_gset(elements, marking: GenTuple, atoms) -> FiniteGSet:
     """A finite action whose stabilizer distribution is a prescribed atomic IRS.
 
     ``elements`` is the deterministic closure list of the ambient finite group,
     ``marking`` its generator tuple, and each atom is a pair (indices of
     subgroup generators into ``elements``, rational weight).  Weights must sum
-    to 1; denominators are cleared by repeating coset spaces.  ``size_cap``
-    bounds both each subgroup closure and the number of points.
+    to 1; denominators are cleared by repeating coset spaces.  More than
+    ``_REALIZATION_CAP`` points raise ResourceLimitError.
     """
     elements = list(elements)
     parsed = []
@@ -377,9 +379,7 @@ def realize_irs_as_gset(elements, marking: GenTuple, atoms,
             if not 0 <= idx < len(elements):
                 raise ValueError(f"generator index {idx} outside the closure list")
         gens = [elements[i] for i in gen_indices] or [identity_perm(marking.degree)]
-        subgroup = generate_closure(GenTuple(tuple(gens)), size_cap)
-        if subgroup.truncated:
-            raise ResourceLimitError(f"subgroup closure exceeds cap {size_cap}")
+        subgroup = generate_closure(GenTuple(tuple(gens)))
         if len(elements) % len(subgroup):
             raise ValueError("input does not generate a subgroup of the closure")
         parsed.append((subgroup, weight))
@@ -394,8 +394,9 @@ def realize_irs_as_gset(elements, marking: GenTuple, atoms,
         index = len(elements) // len(subgroup)
         need = (weight / index).denominator
         n_total = n_total * need // math.gcd(n_total, need)
-    if n_total > size_cap:
-        raise ResourceLimitError(f"realization needs {n_total} points, cap {size_cap}")
+    if n_total > _REALIZATION_CAP:
+        raise ResourceLimitError(
+            f"realization needs {n_total} points, cap {_REALIZATION_CAP}")
 
     parts = []
     for subgroup, weight in parsed:
@@ -403,7 +404,7 @@ def realize_irs_as_gset(elements, marking: GenTuple, atoms,
             continue
         index = len(elements) // len(subgroup)
         copies = int(weight * n_total / index)
-        action = coset_action(elements, marking, subgroup.elements)
+        action = coset_action(elements, marking, subgroup)
         parts.extend([action] * copies)
     return disjoint_union(*parts)
 
@@ -489,8 +490,7 @@ def _parse_alpha(alpha):
 
 def vershik_irs(alpha, target: str, radius: int = 2, mode: str = "exact",
                 window: int | None = None, n_samples: int | None = None,
-                seed: int | None = None,
-                enumeration_cap: int = 2 * 10**6) -> EmpiricalIRS:
+                seed: int | None = None) -> EmpiricalIRS:
     """Stabilizer IRS of a random coloring.
 
     Points of the target's natural set are independently colored by ``alpha``;
@@ -509,8 +509,7 @@ def vershik_irs(alpha, target: str, radius: int = 2, mode: str = "exact",
         pairs = [(np.arange(size), row) for row in ball_images(marking, ball)]
     else:
         raise ValueError(f"unknown vershik target {target!r}")
-    return _vershik(weights, pairs, size, ball, mode, n_samples, seed,
-                    enumeration_cap)
+    return _vershik(weights, pairs, size, ball, mode, n_samples, seed)
 
 
 def _az_window_pairs(ball: Ball, window: int | None):
@@ -550,14 +549,13 @@ def _fixation_rows(colorings, pairs) -> np.ndarray:
     return rows
 
 
-def _vershik(weights, pairs, size, ball, mode, n_samples, seed,
-             cap) -> EmpiricalIRS:
+def _vershik(weights, pairs, size, ball, mode, n_samples, seed) -> EmpiricalIRS:
     """Fingerprint distribution of colorings of ``size`` points by ``weights``;
     ``pairs[j]`` holds the (x, g(x)) index arrays of ball word j."""
     n_colors = len(weights)
     dtype = np.min_scalar_type(n_colors - 1)
     if mode == "exact":
-        if n_colors ** size > cap:
+        if n_colors ** size > _ENUMERATION_CAP:
             raise ResourceLimitError(
                 f"{n_colors}**{size} colorings exceed the enumeration cap")
         # colorings using a weight-0 color have mass 0 and are skipped; the

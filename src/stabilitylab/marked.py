@@ -22,8 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from .perms import GenTuple, Perm, alt_marking, ball_images, word_eval
-from .words import (DEFAULT_BALL_CAP, Ball, ReducedWord, enumerate_ball,
-                    evaluate_levels, kernel_fingerprint)
+from .words import (Ball, ReducedWord, enumerate_ball, evaluate_levels,
+                    kernel_fingerprint)
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +348,7 @@ def _nu_from_kernels(k1: frozenset, k2: frozenset, r_max: int) -> NuResult:
     return NuResult(min(len(w) for w in diff) - 1, False)
 
 
-def marked_nu(o1: MarkedGroupOracle, o2: MarkedGroupOracle, r_max: int,
-              cap: int = DEFAULT_BALL_CAP) -> NuResult:
+def marked_nu(o1: MarkedGroupOracle, o2: MarkedGroupOracle, r_max: int) -> NuResult:
     """Compare two oracles' kernels on the ball of radius r_max.
 
     The kernels always agree at radius 0, so the result is >= 0.  Agreement
@@ -358,14 +357,14 @@ def marked_nu(o1: MarkedGroupOracle, o2: MarkedGroupOracle, r_max: int,
     """
     if o1.rank != o2.rank:
         raise ValueError("rank mismatch")
-    ball = enumerate_ball(o1.rank, r_max, cap=cap)
+    ball = enumerate_ball(o1.rank, r_max)
     k1 = kernel_fingerprint(o1, r_max, ball=ball).members
     k2 = kernel_fingerprint(o2, r_max, ball=ball).members
     return _nu_from_kernels(k1, k2, r_max)
 
 
-def convergence_table(oracles, target: MarkedGroupOracle, r_max: int,
-                      cap: int = DEFAULT_BALL_CAP) -> list[tuple[str, NuResult]]:
+def convergence_table(oracles, target: MarkedGroupOracle,
+                      r_max: int) -> list[tuple[str, NuResult]]:
     """nu against a fixed target for each oracle in a sequence.
 
     The ball and the target kernel are computed once and shared.
@@ -373,7 +372,7 @@ def convergence_table(oracles, target: MarkedGroupOracle, r_max: int,
     oracles = list(oracles)
     if not oracles:
         return []
-    ball = enumerate_ball(target.rank, r_max, cap=cap)
+    ball = enumerate_ball(target.rank, r_max)
     target_kernel = kernel_fingerprint(target, r_max, ball=ball).members
     rows = []
     for o in oracles:

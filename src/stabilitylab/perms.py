@@ -13,7 +13,9 @@ from math import gcd
 
 import numpy as np
 
-from .words import Ball, ReducedWord, WordSet, evaluate_levels
+from .words import Ball, ReducedWord, ResourceLimitError, WordSet, evaluate_levels
+
+_CLOSURE_CAP = 10**6      # elements of one generated group
 
 
 @dataclass(frozen=True)
@@ -250,23 +252,12 @@ def check_separating(gens: GenTuple, witnesses, delta) -> SeparationReport:
     return SeparationReport(dists, min_d, delta, passed)
 
 
-@dataclass(frozen=True)
-class ClosureResult:
-    elements: tuple[Perm, ...]
-    truncated: bool
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
-def generate_closure(gens: GenTuple, cap: int = 10**7) -> ClosureResult:
+def generate_closure(gens: GenTuple) -> tuple[Perm, ...]:
     """BFS closure of the generated permutation group, in a deterministic order.
 
-    Complete when the group has at most ``cap`` elements; otherwise the result
-    is truncated and flagged, not an error.
+    Raises ResourceLimitError when the group has more than ``_CLOSURE_CAP``
+    elements.
     """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
     start = identity_perm(gens.degree)
     seen = {start.key()}
     elements = [start]
@@ -278,13 +269,13 @@ def generate_closure(gens: GenTuple, cap: int = 10**7) -> ClosureResult:
                 h = g * s
                 k = h.key()
                 if k not in seen:
-                    if len(elements) >= cap:
-                        return ClosureResult(tuple(elements), True)
+                    if len(elements) >= _CLOSURE_CAP:
+                        raise ResourceLimitError(f"closure exceeds cap {_CLOSURE_CAP}")
                     seen.add(k)
                     elements.append(h)
                     nxt.append(h)
         frontier = nxt
-    return ClosureResult(tuple(elements), False)
+    return tuple(elements)
 
 
 def alt_marking(r: int) -> GenTuple:

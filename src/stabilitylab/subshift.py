@@ -422,15 +422,16 @@ class ErgodicMeasure:
     frequencies are cross-checked against the Perron eigenvector.
     """
 
-    def __init__(self, sub: Substitution, tolerance: float = 1e-9):
+    tolerance = 1e-9
+
+    def __init__(self, sub: Substitution):
         self.sub = sub
-        self.tolerance = tolerance
-        self._threshold = Fraction(tolerance).limit_denominator(10**15) / 1000
         self._tables: dict[int, dict[str, float]] = {}
 
     def _table(self, length: int) -> dict[str, float]:
         if length not in self._tables:
-            exact = _frequency_table(self.sub, length, self._threshold)
+            threshold = Fraction(self.tolerance).limit_denominator(10**15) / 1000
+            exact = _frequency_table(self.sub, length, threshold)
             table = {w: float(f) for w, f in exact.items()}
             if length == 1:
                 perron = self.sub.perron_vector()
@@ -542,10 +543,7 @@ def return_words(sub: Substitution, word: str) -> tuple[str, ...]:
         if gaps and gaps == prev:
             return tuple(sorted(gaps, key=lambda w: (len(w), w)))
         prev = gaps
-        if len(s) > _STRING_CAP:
-            raise ResourceLimitError(
-                f"return words of {word!r} did not stabilize below the string cap")
-        s = sub.apply(s)
+        s = sub.long_word(len(s) + 1)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_RANK = 26
-DEFAULT_BALL_CAP = 10**6
+_BALL_CAP = 10**6         # words in one enumerated ball
 
 
 class ResourceLimitError(RuntimeError):
@@ -188,16 +188,16 @@ def evaluate_levels(rank: int, radius: int, root, columns):
         yield rows
 
 
-def enumerate_ball(rank: int, radius: int, cap: int = DEFAULT_BALL_CAP) -> Ball:
+def enumerate_ball(rank: int, radius: int) -> Ball:
     """Enumerate the closed ball of the given radius in the rank-d free group.
 
-    Raises ResourceLimitError if the closed-form size would exceed ``cap``.
+    Raises ResourceLimitError if the closed-form size would exceed ``_BALL_CAP``.
     """
     if rank < 1 or radius < 0:
         raise ValueError("need rank >= 1 and radius >= 0")
     size = ball_size(rank, radius)
-    if size > cap:
-        raise ResourceLimitError(f"ball of size {size} exceeds cap {cap}")
+    if size > _BALL_CAP:
+        raise ResourceLimitError(f"ball of size {size} exceeds cap {_BALL_CAP}")
     words: list[ReducedWord] = [identity(rank)]
     level: list[tuple[int, ...]] = [()]
     for parents, letters in ball_levels(rank, radius):
@@ -240,8 +240,7 @@ class WordSet:
         return WordSet(radius, frozenset(w for w in self.members if len(w) <= radius))
 
 
-def kernel_fingerprint(oracle, radius: int, ball: Ball | None = None,
-                       cap: int = DEFAULT_BALL_CAP) -> WordSet:
+def kernel_fingerprint(oracle, radius: int, ball: Ball | None = None) -> WordSet:
     """Ball words that the marked-group oracle evaluates to the identity.
 
     ``oracle`` needs ``rank`` and ``kernel_mask(ball)``, a boolean array over
@@ -252,7 +251,7 @@ def kernel_fingerprint(oracle, radius: int, ball: Ball | None = None,
     inside the ball.
     """
     if ball is None:
-        ball = enumerate_ball(oracle.rank, radius, cap=cap)
+        ball = enumerate_ball(oracle.rank, radius)
     if ball.rank != oracle.rank:
         raise ValueError(f"rank mismatch: ball {ball.rank} vs oracle {oracle.rank}")
     if ball.radius < radius:

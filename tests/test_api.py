@@ -43,3 +43,22 @@ def test_library_has_no_assert_statements():
                     and _raises_assertion_error(node)):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_caps_are_module_constants_read_at_call_time():
+    # a default argument or a copy imported into another module is bound once,
+    # so patching the cap's own module constant would not move that limit
+    found = []
+    for path in sorted(Path(sl.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs + [
+                    a for a in (args.vararg, args.kwarg) if a is not None]
+                found += [f"{path.name}:{node.lineno} parameter {a.arg}"
+                          for a in params if a.arg.endswith("cap")]
+            elif isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("stabilitylab")):
+                found += [f"{path.name}:{node.lineno} imports {alias.name}"
+                          for alias in node.names if alias.name.endswith("_CAP")]
+    assert found == []

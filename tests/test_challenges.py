@@ -70,6 +70,14 @@ class TestGenNorm:
         with pytest.raises(ValueError):
             FSetPair(cycle_gset(3), cycle_gset(4))
 
+    @pytest.mark.parametrize("call", [
+        lambda x: FSetPair(x, x), lambda x: gen_norm([], x, x),
+        lambda x: d_gen_exact(x, x), lambda x: d_gen_bound(x, x)],
+        ids=["pair", "gen_norm", "d_gen_exact", "d_gen_bound"])
+    def test_rejects_empty_actions(self, call):
+        with pytest.raises(ValueError, match="at least one point"):
+            call(trivial_gset(2, 0))
+
 
 def per_generator_average(f, X, Y):
     """Mean over generators of each generator's own mismatch fraction."""

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from oracles import expected_fullgroup_irs
-from stabilitylab import fullgroup
+from stabilitylab import fullgroup, subshift
 from stabilitylab.fullgroup import (CocycleNotConstantError, TableElement,
                                     adapted_partition, atom_action,
                                     atom_exponents, ball_elements,
@@ -12,8 +12,8 @@ from stabilitylab.fullgroup import (CocycleNotConstantError, TableElement,
                                     fullgroup_irs_limit_check, identity_element,
                                     local_embedding, point_inside,
                                     sample_points, three_cycle, tower_gadgets)
-from stabilitylab.subshift import (ErgodicMeasure, cylinder, fibonacci, full_set,
-                                   kr_partition)
+from stabilitylab.subshift import (ErgodicMeasure, KRPartition, cylinder, fibonacci,
+                                   full_set, kr_partition)
 from stabilitylab.words import (ReducedWord, ResourceLimitError, enumerate_ball,
                                 identity, word_from_string)
 
@@ -94,6 +94,10 @@ class TestTableElement:
         with pytest.raises(ValueError, match="towers"):
             tower_gadgets(FIB, "a", 2)  # heights 1 and 2 only
 
+    def test_no_gadgets_requested(self):
+        with pytest.raises(ValueError, match="at least one gadget, got count=0"):
+            tower_gadgets(FIB, "aa", 0)
+
     def test_json_dump(self, gadgets):
         data = json.loads(element_to_json(gadgets[0]))
         assert {p["exponent"] for p in data["parts"]} == {-2, 0, 1}
@@ -105,8 +109,8 @@ class TestCocycle:
             assert point.cocycle(identity_element(FIB)) == 0
 
     def test_point_inside_string_cap(self, monkeypatch):
-        monkeypatch.setattr(fullgroup, "_STRING_CAP", 5000)
-        with pytest.raises(ResourceLimitError, match="below the cap"):
+        monkeypatch.setattr(subshift, "_STRING_CAP", 5000)
+        with pytest.raises(ResourceLimitError, match="string cap"):
             point_inside(cylinder(FIB, "aabaa"), margin=10_000)
 
     def test_apply_moves_origin(self, gadgets):
@@ -251,13 +255,20 @@ class TestAdaptedPartition:
         assert part.min_height >= 2
         assert sorted(t.height for t in part.towers) == [3, 5]
 
-    def test_depth_cap_failure_names_the_deficit(self):
-        from stabilitylab.subshift import full_set
-        from stabilitylab.words import ResourceLimitError
-
+    def test_depth_cap_failure_names_the_deficit(self, monkeypatch):
+        monkeypatch.setattr(fullgroup, "_SEED_CAP", 3)
         shift_by_five = TableElement(FIB, [(full_set(FIB), 5)])
-        with pytest.raises(ResourceLimitError, match="need 12"):
-            adapted_partition(FIB, [shift_by_five], 1, "aa", max_seed_length=3)
+        with pytest.raises(ResourceLimitError,
+                           match="seed 'aab' reaches min height 3, need 12"):
+            adapted_partition(FIB, [shift_by_five], 1, "aa")
+
+    def test_builds_and_validates_only_the_chosen_partition(self, monkeypatch):
+        calls = []
+        validate = KRPartition.validate
+        monkeypatch.setattr(KRPartition, "validate",
+                            lambda self: calls.append(self) or validate(self))
+        part = adapted_partition(FIB, _nonabelian(), 3, "abaab")
+        assert len(calls) == 2 and calls[-1] is part  # the seed's towers, then refined
 
 
 class TestLocalEmbedding:
@@ -425,6 +436,10 @@ class TestOtherSubstitutions:
 
 
 class TestLimitCheck:
+    def test_no_levels(self, gadgets, measure):
+        with pytest.raises(ValueError, match="at least one partition level"):
+            fullgroup_irs_limit_check(FIB, gadgets, 1, 1, [], measure)
+
     def test_identical_levels(self, gadgets, measure):
         report = fullgroup_irs_limit_check(FIB, gadgets, 1, 1, ["aa", "aa"], measure)
         assert report.tv_matrix[0][1] == 0.0

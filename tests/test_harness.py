@@ -90,6 +90,17 @@ class TestCLI:
         assert exc.value.code == 2
         assert "--sample" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["subshift-kr", "fullgroup-irs"])
+    def test_tolerance_is_not_an_option(self, command, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--tolerance", "1e-9", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--tolerance" in capsys.readouterr().err
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("tolerance=1e-9\n")
+        with pytest.raises(SystemExit, match="unknown config field 'tolerance'"):
+            main([command, "--config", str(cfg), "--out", str(tmp_path)])
+
     def test_unknown_config_field(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("bogus=1\n")
@@ -101,6 +112,14 @@ class TestCLI:
         cfg.write_text("size=abc\n")
         with pytest.raises(SystemExit, match="'abc' for config field 'size'"):
             main(["dgen", "--config", str(cfg), "--out", str(tmp_path)])
+
+    @pytest.mark.parametrize("argv, message", [
+        (["dgen", "--size", "0"], "at least one point"),
+        (["fullgroup-irs", "--levels", ","], "at least one partition level")],
+        ids=["dgen-empty-actions", "fullgroup-irs-no-levels"])
+    def test_empty_input_exits_with_a_message(self, argv, message, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
 
     def test_module_error_returns_nonzero(self, tmp_path, capsys):
         code = main(["subshift-kr", "--seeds", "bb", "--out", str(tmp_path)])

@@ -32,7 +32,7 @@ def free_transitive_3() -> FiniteGSet:
 
 def regular_alt5() -> FiniteGSet:
     marking = alt_marking(2)
-    elements = generate_closure(marking).elements
+    elements = generate_closure(marking)
     return coset_action(elements, marking,
                         frozenset({identity_perm(marking.degree)}))
 
@@ -225,7 +225,7 @@ class TestPadGSet:
 class TestRealization:
     def setup_method(self):
         self.marking = alt_marking(2)
-        self.elements = list(generate_closure(self.marking).elements)
+        self.elements = list(generate_closure(self.marking))
 
     def test_whole_group_atom(self):
         # the subgroup generated by both markings is all of Alt(5)
@@ -250,11 +250,16 @@ class TestRealization:
         with pytest.raises(ValueError):
             realize_irs_as_gset(self.elements, self.marking, [([], HALF)])
 
-    def test_size_cap(self):
-        from stabilitylab.words import ResourceLimitError
+    def test_size_cap(self, monkeypatch):
+        monkeypatch.setattr("stabilitylab.irs._REALIZATION_CAP", 100)
         atoms = [([], Fraction(1, 7)), ([1], Fraction(6, 7))]
-        with pytest.raises(ResourceLimitError):
-            realize_irs_as_gset(self.elements, self.marking, atoms, size_cap=100)
+        with pytest.raises(ResourceLimitError, match="points, cap 100"):
+            realize_irs_as_gset(self.elements, self.marking, atoms)
+
+    def test_subgroup_closure_cap(self, monkeypatch):
+        monkeypatch.setattr("stabilitylab.perms._CLOSURE_CAP", 59)
+        with pytest.raises(ResourceLimitError, match="closure exceeds cap 59"):
+            realize_irs_as_gset(self.elements, self.marking, [([0, 1, 2], 1)])
 
 
 class TestDistance:
@@ -406,11 +411,12 @@ class TestVershik:
         with pytest.raises(ValueError):
             vershik_irs([HALF], "alt:2", radius=1, mode="exact")
 
-    def test_enumeration_cap(self):
-        from stabilitylab.words import ResourceLimitError
-        with pytest.raises(ResourceLimitError):
-            vershik_irs([HALF, HALF], "alt:12", radius=1, mode="exact",
-                        enumeration_cap=100)
+    def test_enumeration_cap(self, monkeypatch):
+        monkeypatch.setattr("stabilitylab.irs._ENUMERATION_CAP", 2 ** 5)
+        assert vershik_irs([HALF, HALF], "alt:2", radius=1, mode="exact").exact
+        monkeypatch.setattr("stabilitylab.irs._ENUMERATION_CAP", 2 ** 5 - 1)
+        with pytest.raises(ResourceLimitError, match="enumeration cap"):
+            vershik_irs([HALF, HALF], "alt:2", radius=1, mode="exact")
 
 
 class TestSerialization:

@@ -2,12 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabilitylab import words
 from stabilitylab.marked import (AZ_IDENTITY, MarkedGroupOracle, TrivialOracle,
                                  TruncatedDiagonalProduct, alt_oracle, az_from_cycles,
                                  az_oracle, az_shift, convergence_table, marked_nu,
                                  neumann_truncation, oracle_by_name, tail_defect)
 from stabilitylab.perms import alt_marking
-from stabilitylab.words import (enumerate_ball, identity, kernel_fingerprint, reduce,
+from stabilitylab.words import (ResourceLimitError, ball_size, enumerate_ball,
+                                identity, kernel_fingerprint, reduce,
                                 word_from_string)
 
 words_st = st.lists(st.integers(-2, 2).filter(bool), max_size=10).map(
@@ -124,6 +126,16 @@ class TestConvergenceTable:
     def test_constant_sequence(self):
         rows = convergence_table([az_oracle()] * 3, az_oracle(), 4)
         assert all(nu.saturated for _, nu in rows)
+
+    def test_ball_cap_bounds_both_scans(self, monkeypatch):
+        monkeypatch.setattr(words, "_BALL_CAP", ball_size(2, 3))
+        assert convergence_table([alt_oracle(2)], az_oracle(), 3) == [
+            ("alt:2", marked_nu(alt_oracle(2), az_oracle(), 3))]
+        monkeypatch.setattr(words, "_BALL_CAP", ball_size(2, 3) - 1)
+        with pytest.raises(ResourceLimitError, match="exceeds cap"):
+            marked_nu(alt_oracle(2), az_oracle(), 3)
+        with pytest.raises(ResourceLimitError, match="exceeds cap"):
+            convergence_table([alt_oracle(2)], az_oracle(), 3)
 
     def test_singleton_matches_marked_nu(self):
         [(_, nu)] = convergence_table([alt_oracle(2)], az_oracle(), 5)

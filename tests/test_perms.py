@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabilitylab import perms
 from stabilitylab.perms import (GenTuple, Perm, alt_marking, ball_images,
                                 check_almost_solution, check_separating,
                                 generate_closure, hamming_distance, identity_perm,
                                 moved_fractions, parse_perm, perm_from_cycles,
                                 perm_to_line, tuple_distance, word_eval)
-from stabilitylab.words import WordSet, enumerate_ball, identity, word_from_string
+from stabilitylab.words import (ResourceLimitError, WordSet, enumerate_ball, identity,
+                                word_from_string)
 
 perm5 = st.permutations(range(5)).map(lambda xs: Perm(tuple(xs)))
 
@@ -166,28 +168,25 @@ class TestTupleDistance:
 class TestClosure:
     def test_identity_tuple(self):
         gt = GenTuple((identity_perm(4),))
-        res = generate_closure(gt)
-        assert len(res) == 1 and not res.truncated
+        assert generate_closure(gt) == (identity_perm(4),)
 
     def test_alt5_size(self):
-        res = generate_closure(alt_marking(2))
-        assert len(res) == 60 and not res.truncated
+        assert len(generate_closure(alt_marking(2))) == 60
 
     def test_alt7_size(self):
-        res = generate_closure(alt_marking(3))
-        assert len(res) == 2520 and not res.truncated
+        assert len(generate_closure(alt_marking(3))) == 2520
 
     def test_all_even(self):
-        res = generate_closure(alt_marking(2))
-        assert all(p.parity() == 0 for p in res.elements)
+        assert all(p.parity() == 0 for p in generate_closure(alt_marking(2)))
 
-    def test_truncation_flag(self):
-        res = generate_closure(alt_marking(2), cap=10)
-        assert res.truncated and len(res) == 10
+    def test_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(perms, "_CLOSURE_CAP", 59)
+        with pytest.raises(ResourceLimitError, match="closure exceeds cap 59"):
+            generate_closure(alt_marking(2))
 
-    def test_exact_cap_not_truncated(self):
-        res = generate_closure(alt_marking(2), cap=60)
-        assert not res.truncated and len(res) == 60
+    def test_exact_cap_not_truncated(self, monkeypatch):
+        monkeypatch.setattr(perms, "_CLOSURE_CAP", 60)
+        assert len(generate_closure(alt_marking(2))) == 60
 
 
 class TestAltMarking:

@@ -263,7 +263,7 @@ class TestReturnWords:
     def test_scan_cap(self, monkeypatch):
         # the first scanned iterate (length 89) fits under the cap, the next does not
         monkeypatch.setattr(subshift, "_STRING_CAP", 64)
-        with pytest.raises(ResourceLimitError, match="stabilize"):
+        with pytest.raises(ResourceLimitError, match="string cap"):
             return_words(fibonacci(), "a")
 
     @pytest.mark.parametrize("sub", [fibonacci(), thue_morse()])
@@ -316,6 +316,12 @@ class TestKRPartition:
     def test_inadmissible_seed(self):
         with pytest.raises(ValueError):
             kr_partition(fibonacci(), "bb")
+
+    @pytest.mark.parametrize("sub", [fibonacci(), thue_morse(), chacon()])
+    def test_min_height_is_the_shortest_return_word(self, sub):
+        for length in (1, 2, 3):
+            for u in sub.factors(length):
+                assert kr_partition(sub, u).min_height == len(return_words(sub, u)[0])
 
 
 class TestRefine:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from stabilitylab import words
 from stabilitylab.marked import FreeOracle, TrivialOracle, alt_oracle, az_oracle
 from stabilitylab.words import (ReducedWord, ResourceLimitError, WordSet,
                                 ball_lines, ball_size, enumerate_ball, identity,
@@ -100,9 +101,10 @@ class TestBall:
         members = set(ball.words)
         assert all(word.inverse() in members for word in ball.words)
 
-    def test_cap(self):
-        with pytest.raises(ResourceLimitError):
-            enumerate_ball(3, 10, cap=1000)
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(words, "_BALL_CAP", 1000)
+        with pytest.raises(ResourceLimitError, match="exceeds cap 1000"):
+            enumerate_ball(3, 10)
 
     def test_lines_dump(self):
         text = ball_lines(enumerate_ball(2, 1))
