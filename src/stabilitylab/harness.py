@@ -231,6 +231,8 @@ def run_fullgroup_irs(opts: dict) -> None:
 
 
 def run_dgen(opts: dict) -> None:
+    if opts["instances"] < 1:
+        raise ValueError(f"instances must be >= 1, got {opts['instances']}")
     rng = random.Random(opts["seed"])
     from .irs import FiniteGSet
 

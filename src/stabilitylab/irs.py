@@ -286,6 +286,8 @@ def fingerprint(action: GenTuple, x: int, ball: Ball) -> CylinderFingerprint:
 
 def irs_of_gset(gset: FiniteGSet, radius: int, ball: Ball | None = None) -> EmpiricalIRS:
     """Exact stabilizer-fingerprint distribution of the uniform point measure."""
+    if gset.size == 0:
+        raise ValueError("the action needs at least one point")
     if ball is None:
         ball = enumerate_ball(gset.rank, radius)
     _check_ball(ball, gset.rank, radius)
@@ -321,6 +323,8 @@ def mixture(parts) -> EmpiricalIRS:
 def pad_gset(gset: FiniteGSet, target_size: int) -> FiniteGSet:
     """Grow a finite action to a prescribed size without moving its IRS far:
     q whole copies plus a trivial remainder, target = q*|X| + remainder."""
+    if gset.size == 0:
+        raise ValueError("the action needs at least one point")
     if target_size < gset.size:
         raise ValueError(f"target size {target_size} below |X| = {gset.size}")
     q, r = divmod(target_size, gset.size)

@@ -137,6 +137,8 @@ def hamming_distance(p: Perm, q: Perm) -> Fraction:
     """Normalized Hamming distance: the fraction of points where p and q differ."""
     if p.degree != q.degree:
         raise ValueError("degree mismatch")
+    if p.degree == 0:
+        raise ValueError("the permutations need at least one point")
     agree = sum(1 for a, b in zip(p.images, q.images) if a == b)
     return Fraction(p.degree - agree, p.degree)
 
@@ -222,10 +224,13 @@ class SeparationReport:
 
 def moved_fractions(gens: GenTuple, words) -> tuple[tuple[ReducedWord, Fraction], ...]:
     """Each word with the fraction of points its evaluation moves, which is its
-    Hamming distance from the identity; a WordSet is read in shortlex order."""
+    Hamming distance from the identity; a WordSet is read in shortlex order.
+    An action on no points raises ``ValueError``."""
+    n = gens.degree
+    if n == 0:
+        raise ValueError("the action needs at least one point")
     if isinstance(words, WordSet):
         words = words.sorted_words()
-    n = gens.degree
     return tuple((w, Fraction(n - word_eval(w, gens).fixed_count(), n)) for w in words)
 
 

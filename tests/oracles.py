@@ -70,6 +70,24 @@ def expected_fullgroup_irs(partition, report, k, radius, measure) -> dict:
     return masses
 
 
+def expected_d_gen_exact(x, y) -> Fraction:
+    """The exhaustive minimum of the generator defect, one bijection at a time.
+
+    Counts the mismatches of each bijection in ``itertools.permutations``
+    order and stops early once a bijection has none.
+    """
+    size, rank = x.size, x.rank
+    gens = [(sx.images, sy.images) for sx, sy in zip(x.action.perms, y.action.perms)]
+    best = size * rank
+    for f in itertools.permutations(range(size)):
+        count = sum(f[sx[p]] != sy[f[p]] for sx, sy in gens for p in range(size))
+        if count < best:
+            best = count
+            if best == 0:
+                break
+    return Fraction(best, size * rank)
+
+
 def expected_d_gen_bound(x, y, restarts: int = 30, seed: int = 0) -> BoundResult:
     """The greedy start and 2-swap descent of ``d_gen_bound``, in Fractions.
 
@@ -164,6 +182,35 @@ def random_gset(rng, size: int, rank: int = 2):
     for _ in range(rank):
         images = list(range(size))
         rng.shuffle(images)
+        perms.append(Perm(tuple(images)))
+    return FiniteGSet(GenTuple(tuple(perms)))
+
+
+def involution_gset(rng, size: int, rank: int = 2):
+    """Each generator a random involution: disjoint transpositions on a random
+    share of the points, fixing the rest."""
+    from stabilitylab.irs import FiniteGSet
+
+    perms = []
+    for _ in range(rank):
+        images = list(range(size))
+        points = rng.sample(range(size), 2 * rng.randint(0, size // 2))
+        for a, b in zip(points[::2], points[1::2]):
+            images[a], images[b] = b, a
+        perms.append(Perm(tuple(images)))
+    return FiniteGSet(GenTuple(tuple(perms)))
+
+
+def sparse_gset(rng, size: int, rank: int = 2, moved: int = 3):
+    """Each generator a random cycle on at most ``moved`` points, fixing the rest."""
+    from stabilitylab.irs import FiniteGSet
+
+    perms = []
+    for _ in range(rank):
+        images = list(range(size))
+        cycle = rng.sample(range(size), rng.randint(0, min(moved, size)))
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            images[a] = b
         perms.append(Perm(tuple(images)))
     return FiniteGSet(GenTuple(tuple(perms)))
 

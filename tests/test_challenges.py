@@ -3,14 +3,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import expected_d_gen_bound, random_gset
+from oracles import (expected_d_gen_bound, expected_d_gen_exact, involution_gset,
+                     random_gset, sparse_gset)
 
+from stabilitylab import challenges
 from stabilitylab.challenges import (FSetPair, challenge_defect, d_gen_bound,
                                      d_gen_exact, gen_norm, is_m_good,
                                      pair_from_json, pair_to_json)
-from stabilitylab.irs import FiniteGSet, trivial_gset
+from stabilitylab.irs import FiniteGSet, relabel, trivial_gset
 from stabilitylab.perms import GenTuple, Perm, alt_marking, identity_perm
-from stabilitylab.words import ResourceLimitError, WordSet, identity, word_from_string
+from stabilitylab.words import (InvariantError, ResourceLimitError, WordSet, identity,
+                                word_from_string)
 
 
 def w(text):
@@ -72,8 +75,9 @@ class TestGenNorm:
 
     @pytest.mark.parametrize("call", [
         lambda x: FSetPair(x, x), lambda x: gen_norm([], x, x),
-        lambda x: d_gen_exact(x, x), lambda x: d_gen_bound(x, x)],
-        ids=["pair", "gen_norm", "d_gen_exact", "d_gen_bound"])
+        lambda x: d_gen_exact(x, x), lambda x: d_gen_bound(x, x),
+        lambda x: challenge_defect(x, [w("a")])],
+        ids=["pair", "gen_norm", "d_gen_exact", "d_gen_bound", "challenge_defect"])
     def test_rejects_empty_actions(self, call):
         with pytest.raises(ValueError, match="at least one point"):
             call(trivial_gset(2, 0))
@@ -141,9 +145,23 @@ class TestDGenExact:
 
     def test_cap(self):
         rng = random.Random(6)
+        X, Y = random_gset(rng, 8), random_gset(rng, 8)
+        assert 0 <= d_gen_exact(X, Y) <= 1
         X, Y = random_gset(rng, 9), random_gset(rng, 9)
         with pytest.raises(ResourceLimitError, match="d_gen_bound"):
             d_gen_exact(X, Y)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_matches_permutation_loop(self, rank):
+        rng = random.Random(50 + rank)
+        for size in range(1, 9):
+            X, Y = random_gset(rng, size, rank), random_gset(rng, size, rank)
+            assert d_gen_exact(X, Y) == expected_d_gen_exact(X, Y)
+            # a relabelling has defect 0, where the loop stops early
+            rho = list(range(size))
+            rng.shuffle(rho)
+            Z = relabel(X, Perm(tuple(rho)))
+            assert d_gen_exact(X, Z) == expected_d_gen_exact(X, Z) == 0
 
 
 class TestDGenBound:
@@ -179,10 +197,42 @@ class TestDGenBound:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_fraction_descent(self, restarts, seed):
         rng = random.Random(100 * restarts + seed)
+        pairs = []
         for size in range(5, 13):
-            X, Y = random_gset(rng, size), random_gset(rng, size)
+            pairs.append((random_gset(rng, size), random_gset(rng, size)))
+        # fixed points and involutions make a swap's touched points repeat
+        for rank in (1, 2, 3):
+            for make in (sparse_gset, involution_gset):
+                for size in (3, 20):
+                    pairs.append((make(rng, size, rank), make(rng, size, rank)))
+        for X, Y in pairs:
             res = d_gen_bound(X, Y, restarts=restarts, seed=seed)
             assert res == expected_d_gen_bound(X, Y, restarts=restarts, seed=seed)
+
+    @pytest.mark.parametrize("call", [
+        lambda x: d_gen_bound(x, x, restarts=-1),
+        lambda x: is_m_good(x, x, WordSet(1, frozenset({identity(2)})), 1,
+                            restarts=-3)],
+        ids=["d_gen_bound", "is_m_good"])
+    def test_rejects_negative_restarts(self, call):
+        with pytest.raises(ValueError, match="restarts must be >= 0"):
+            call(cycle_gset(4))
+
+    def test_recount_disagreeing_with_deltas_raises(self, monkeypatch):
+        # the first count of the start is honest, the recount after the
+        # descent is off by one
+        calls = []
+        honest = challenges._mismatches
+
+        def off_by_one_recount(f, xs, ys):
+            calls.append(f)
+            return honest(f, xs, ys) + (len(calls) == 2)
+
+        monkeypatch.setattr(challenges, "_mismatches", off_by_one_recount)
+        rng = random.Random(11)
+        X, Y = random_gset(rng, 6), random_gset(rng, 6)
+        with pytest.raises(InvariantError, match="recount"):
+            d_gen_bound(X, Y, restarts=1)
 
 
 class TestChallengeDefect:

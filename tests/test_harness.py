@@ -121,6 +121,15 @@ class TestCLI:
         assert main(argv + ["--out", str(tmp_path)]) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--restarts", "-3"], "restarts must be >= 0, got -3"),
+        (["--instances", "0"], "instances must be >= 1, got 0")],
+        ids=["negative-restarts", "no-instances"])
+    def test_dgen_rejects_bad_counts(self, argv, message, tmp_path, capsys):
+        assert main(["dgen", *argv, "--out", str(tmp_path)]) == 1
+        assert f"error in dgen: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "dgen.csv").exists()
+
     def test_module_error_returns_nonzero(self, tmp_path, capsys):
         code = main(["subshift-kr", "--seeds", "bb", "--out", str(tmp_path)])
         assert code == 1

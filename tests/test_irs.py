@@ -98,6 +98,10 @@ class TestFingerprint:
 
 
 class TestIrsOfGSet:
+    def test_rejects_action_without_points(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            irs_of_gset(trivial_gset(2, 0), 1)
+
     def test_matches_scalar_evaluation(self):
         rng = random.Random(2)
         ball = enumerate_ball(2, 3)
@@ -208,6 +212,10 @@ class TestPadGSet:
     def test_too_small_target(self):
         with pytest.raises(ValueError):
             pad_gset(free_transitive_3(), 2)
+
+    def test_rejects_action_without_points(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            pad_gset(trivial_gset(2, 0), 4)
 
     def test_formula_on_random_gsets(self):
         rng = random.Random(4)

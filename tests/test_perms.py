@@ -61,6 +61,13 @@ class TestHamming:
         with pytest.raises(ValueError):
             hamming_distance(identity_perm(4), identity_perm(5))
 
+    def test_rejects_permutations_of_no_points(self):
+        empty = identity_perm(0)
+        with pytest.raises(ValueError, match="at least one point"):
+            hamming_distance(empty, empty)
+        with pytest.raises(ValueError, match="at least one point"):
+            tuple_distance(GenTuple((empty,)), GenTuple((empty,)))
+
     @given(perm5, perm5, perm5)
     def test_metric_and_biinvariance(self, p, q, r):
         d = hamming_distance
@@ -130,6 +137,16 @@ class TestCheckers:
     def test_bad_delta(self):
         with pytest.raises(ValueError):
             check_almost_solution(alt_marking(2), [], 0)
+
+    @pytest.mark.parametrize("check", [
+        lambda gt: moved_fractions(gt, [w("a")]),
+        lambda gt: check_almost_solution(gt, [w("a")], 1),
+        lambda gt: check_separating(gt, [w("a")], 1)],
+        ids=["moved_fractions", "almost_solution", "separating"])
+    def test_rejects_action_without_points(self, check):
+        empty = GenTuple((identity_perm(0), identity_perm(0)))
+        with pytest.raises(ValueError, match="at least one point"):
+            check(empty)
 
     def test_moved_fractions_are_hamming_distances(self):
         gt = alt_marking(2)
