@@ -40,8 +40,6 @@ class FSetPair:
             raise ValueError("the two actions must have the same size")
         if self.x.rank != self.y.rank:
             raise ValueError("the two actions must share a rank")
-        if self.x.size == 0:
-            raise ValueError("the actions need at least one point")
 
 
 def _check_bijection(f, size: int) -> tuple[int, ...]:
@@ -99,10 +97,11 @@ def d_gen_bound(x: FiniteGSet, y: FiniteGSet, restarts: int = 30,
     restarts), then descend by 2-swaps to a local minimum, taking each swap
     that lowers the mismatch count.  The value is the defect of an actual
     bijection, hence never below the exhaustive minimum; more restarts never
-    increase it.  Negative ``restarts`` raise ``ValueError``.
+    increase it.  ``restarts`` counts the starts, the greedy one included, so
+    ``restarts < 1`` raises ``ValueError``.
     """
-    if restarts < 0:
-        raise ValueError(f"restarts must be >= 0, got {restarts}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     size, rank, xs, ys = _pair_images(x, y)
     rng = random.Random(seed)
     ball = enumerate_ball(rank, 2)
@@ -155,7 +154,7 @@ def d_gen_bound(x: FiniteGSet, y: FiniteGSet, restarts: int = 30,
         return count, f
 
     starts = [greedy]
-    for _ in range(max(restarts - 1, 0)):
+    for _ in range(restarts - 1):
         f = list(range(size))
         rng.shuffle(f)
         starts.append(f)

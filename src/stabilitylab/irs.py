@@ -187,6 +187,10 @@ class FiniteGSet:
 
     action: GenTuple
 
+    def __post_init__(self):
+        if self.action.degree == 0:
+            raise ValueError("the action needs at least one point")
+
     @property
     def size(self) -> int:
         return self.action.degree
@@ -286,8 +290,6 @@ def fingerprint(action: GenTuple, x: int, ball: Ball) -> CylinderFingerprint:
 
 def irs_of_gset(gset: FiniteGSet, radius: int, ball: Ball | None = None) -> EmpiricalIRS:
     """Exact stabilizer-fingerprint distribution of the uniform point measure."""
-    if gset.size == 0:
-        raise ValueError("the action needs at least one point")
     if ball is None:
         ball = enumerate_ball(gset.rank, radius)
     _check_ball(ball, gset.rank, radius)
@@ -323,8 +325,6 @@ def mixture(parts) -> EmpiricalIRS:
 def pad_gset(gset: FiniteGSet, target_size: int) -> FiniteGSet:
     """Grow a finite action to a prescribed size without moving its IRS far:
     q whole copies plus a trivial remainder, target = q*|X| + remainder."""
-    if gset.size == 0:
-        raise ValueError("the action needs at least one point")
     if target_size < gset.size:
         raise ValueError(f"target size {target_size} below |X| = {gset.size}")
     q, r = divmod(target_size, gset.size)
@@ -546,11 +546,15 @@ def _az_window_pairs(ball: Ball, window: int | None):
 
 def _fixation_rows(colorings, pairs) -> np.ndarray:
     """Row per coloring, column per word: is the coloring constant along
-    every (x, g(x)) pair of the word?"""
-    rows = np.empty((len(colorings), len(pairs)), dtype=bool)
+    every (x, g(x)) pair of the word?  Computed point-major: the colorings
+    are transposed once to one row per point, and each word compares only
+    the pairs it moves (none for the identity), across all colorings at once."""
+    by_point = np.ascontiguousarray(colorings.T)
+    rows = np.empty((len(pairs), len(colorings)), dtype=bool)
     for j, (src, dst) in enumerate(pairs):
-        rows[:, j] = (colorings[:, dst] == colorings[:, src]).all(axis=1)
-    return rows
+        moved = src != dst
+        rows[j] = ~(by_point[dst[moved]] != by_point[src[moved]]).any(axis=0)
+    return rows.T
 
 
 def _vershik(weights, pairs, size, ball, mode, n_samples, seed) -> EmpiricalIRS:
@@ -578,9 +582,15 @@ def _vershik(weights, pairs, size, ball, mode, n_samples, seed) -> EmpiricalIRS:
     if mode == "sampled":
         if not n_samples or seed is None:
             raise ValueError("sampled mode needs n_samples and seed")
+        # inverse-CDF draw, as Generator.choice makes it: a coloring's color
+        # is the number of interior CDF edges at or below its uniform draw
         rng = np.random.default_rng(seed)
         p = np.array([float(a) for a in weights])
-        colorings = rng.choice(n_colors, size=(n_samples, size),
-                               p=p / p.sum()).astype(dtype)
+        cdf = (p / p.sum()).cumsum()
+        cdf /= cdf[-1]
+        u = rng.random((n_samples, size))
+        colorings = np.zeros((n_samples, size), dtype=dtype)
+        for edge in cdf[:-1]:
+            colorings += u >= edge
         return _sampled_irs(ball, _fixation_rows(colorings, pairs))
     raise ValueError(f"unknown mode {mode!r}")

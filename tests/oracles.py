@@ -11,7 +11,8 @@ from fractions import Fraction
 import numpy as np
 
 from stabilitylab.challenges import BoundResult, gen_norm
-from stabilitylab.irs import CylinderFingerprint, EmpiricalIRS
+from stabilitylab.irs import (CylinderFingerprint, EmpiricalIRS, _alt_like_marking,
+                              _az_window_pairs, _parse_alpha, _sampled_irs)
 from stabilitylab.perms import (GenTuple, Perm, ball_images, generate_closure,
                                 identity_perm, word_eval)
 from stabilitylab.subshift import ClopenSet, KRPartition, Tower, is_partition
@@ -68,6 +69,35 @@ def expected_fullgroup_irs(partition, report, k, radius, measure) -> dict:
         fp = CylinderFingerprint.from_words(radius, words)
         masses[fp] = masses.get(fp, 0.0) + mass
     return masses
+
+
+def expected_fixation_rows(colorings, pairs) -> np.ndarray:
+    """Fixation rows gathered column by column from sample-major colorings:
+    a coloring is fixed by a word when it agrees at every (x, g(x)) pair."""
+    rows = np.empty((len(colorings), len(pairs)), dtype=bool)
+    for j, (src, dst) in enumerate(pairs):
+        rows[:, j] = (colorings[:, dst] == colorings[:, src]).all(axis=1)
+    return rows
+
+
+def expected_sampled_vershik(alpha, target, radius, n_samples, seed,
+                             window=None) -> EmpiricalIRS:
+    """The sampled coloring-stabilizer IRS with colorings drawn by
+    ``Generator.choice`` and rows from ``expected_fixation_rows``."""
+    weights = _parse_alpha(alpha)
+    ball = enumerate_ball(2, radius)
+    if target == "az":
+        pairs, size = _az_window_pairs(ball, window)
+    else:
+        marking = _alt_like_marking(int(target.split(":")[1]))
+        size = marking.degree
+        pairs = [(np.arange(size), row) for row in ball_images(marking, ball)]
+    dtype = np.min_scalar_type(len(weights) - 1)
+    rng = np.random.default_rng(seed)
+    p = np.array([float(a) for a in weights])
+    colorings = rng.choice(len(weights), size=(n_samples, size),
+                           p=p / p.sum()).astype(dtype)
+    return _sampled_irs(ball, expected_fixation_rows(colorings, pairs))
 
 
 def expected_d_gen_exact(x, y) -> Fraction:

@@ -211,11 +211,14 @@ class TestDGenBound:
 
     @pytest.mark.parametrize("call", [
         lambda x: d_gen_bound(x, x, restarts=-1),
+        lambda x: d_gen_bound(x, x, restarts=0),
         lambda x: is_m_good(x, x, WordSet(1, frozenset({identity(2)})), 1,
-                            restarts=-3)],
-        ids=["d_gen_bound", "is_m_good"])
+                            restarts=-3),
+        lambda x: is_m_good(x, x, WordSet(1, frozenset({identity(2)})), 1,
+                            restarts=0)],
+        ids=["d_gen_bound", "d_gen_bound-0", "is_m_good", "is_m_good-0"])
     def test_rejects_negative_restarts(self, call):
-        with pytest.raises(ValueError, match="restarts must be >= 0"):
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
             call(cycle_gset(4))
 
     def test_recount_disagreeing_with_deltas_raises(self, monkeypatch):

@@ -122,9 +122,10 @@ class TestCLI:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, message", [
-        (["--restarts", "-3"], "restarts must be >= 0, got -3"),
+        (["--restarts", "-3"], "restarts must be >= 1, got -3"),
+        (["--restarts", "0"], "restarts must be >= 1, got 0"),
         (["--instances", "0"], "instances must be >= 1, got 0")],
-        ids=["negative-restarts", "no-instances"])
+        ids=["negative-restarts", "no-restarts", "no-instances"])
     def test_dgen_rejects_bad_counts(self, argv, message, tmp_path, capsys):
         assert main(["dgen", *argv, "--out", str(tmp_path)]) == 1
         assert f"error in dgen: {message}" in capsys.readouterr().err

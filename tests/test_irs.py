@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import expected_atomic_irs, random_gset
+from oracles import (expected_atomic_irs, expected_fixation_rows,
+                     expected_sampled_vershik, random_gset)
 
 from stabilitylab.irs import (CylinderFingerprint, EmpiricalIRS, FiniteGSet,
                               coset_action, disjoint_union, fingerprint,
@@ -13,6 +14,7 @@ from stabilitylab.irs import (CylinderFingerprint, EmpiricalIRS, FiniteGSet,
                               irs_of_gset, mixture, pad_gset, point_mass_irs,
                               realize_irs_as_gset, relabel, sample_irs,
                               trivial_gset, tv_standard_error, vershik_irs)
+from stabilitylab.irs import _fixation_rows
 from stabilitylab.perms import (GenTuple, Perm, alt_marking, generate_closure,
                                 identity_perm, word_eval)
 from stabilitylab.words import (ResourceLimitError, enumerate_ball, identity,
@@ -418,6 +420,41 @@ class TestVershik:
     def test_bad_alpha(self):
         with pytest.raises(ValueError):
             vershik_irs([HALF], "alt:2", radius=1, mode="exact")
+
+    @pytest.mark.parametrize("alpha", [
+        [1], [HALF, HALF], [Fraction(1, 3)] * 3,
+        [Fraction(1, 5), 0, Fraction(4, 5)],
+        [Fraction(1, 10), Fraction(2, 10), Fraction(3, 10), Fraction(4, 10)]],
+        ids=["1", "halves", "thirds", "zero-weight", "four"])
+    @pytest.mark.parametrize("target", ["alt:2", "alt:20", "az"])
+    def test_sampled_matches_choice_oracle(self, alpha, target):
+        window = 6 if target == "az" else None
+        for seed in range(4):
+            for n_samples in (1, 3000):
+                irs = vershik_irs(alpha, target, radius=2, mode="sampled",
+                                  window=window, n_samples=n_samples, seed=seed)
+                expected = expected_sampled_vershik(alpha, target, 2, n_samples,
+                                                    seed, window=window)
+                assert irs == expected
+                assert irs.to_json_lines() == expected.to_json_lines()
+
+    def test_word_moving_no_pair_fixes_every_coloring(self):
+        colorings = np.random.default_rng(6).integers(0, 2, size=(50, 5)).astype(np.uint8)
+        pairs = [(np.arange(5), np.array([1, 0, 2, 3, 4])), (np.arange(5), np.arange(5)),
+                 (np.array([2, 3]), np.array([2, 3]))]
+        rows = _fixation_rows(colorings, pairs)
+        assert np.array_equal(rows, expected_fixation_rows(colorings, pairs))
+        assert rows[:, 1].all() and rows[:, 2].all()
+        assert not rows[:, 0].all()
+
+    def test_word_with_no_pairs_fixes_every_coloring(self):
+        colorings = np.random.default_rng(7).integers(0, 2, size=(50, 5)).astype(np.uint8)
+        empty = np.array([], dtype=np.intp)
+        pairs = [(np.arange(5), np.array([0, 2, 1, 3, 4])), (empty, empty)]
+        rows = _fixation_rows(colorings, pairs)
+        assert rows.shape == (50, 2)
+        assert np.array_equal(rows, expected_fixation_rows(colorings, pairs))
+        assert rows[:, 1].all()
 
     def test_enumeration_cap(self, monkeypatch):
         monkeypatch.setattr("stabilitylab.irs._ENUMERATION_CAP", 2 ** 5)
