@@ -302,6 +302,43 @@ def _tower_perm(exps, partition: KRPartition) -> Perm:
     return Perm(tuple(images))
 
 
+def _cocycles(elements):
+    """Cocycle vectors of distinct elements, and their multiplication table.
+
+    With rho the largest part resolution and M the largest |exponent|, every
+    exponent is read off the radius-rho window, and a product's off the
+    radius-(rho + M) window: c_gh(x) = c_h(x) + c_g(T^c_h(x) x).  ``pi[j + M]``
+    maps each radius-(rho + M) window to its radius-rho subwindow centred at
+    offset j, so a product is one gather.  Returns the (elements, windows)
+    exponents on the radius-(rho + M) windows, and the (elements, elements)
+    table whose [a, b] entry indexes elements[a] * elements[b] among the
+    elements, or is -1.
+    """
+    sub = elements[0].sub
+    rho = max(c.resolution for g in elements for c, _ in g.parts)
+    reach = max(g.max_exponent() for g in elements)
+    small = sub.factors(2 * rho + 1)
+    base = np.empty((len(elements), len(small)), dtype=np.int64)
+    for row, g in zip(base, elements):
+        for part, exponent in g.parts:
+            off, span = rho - part.resolution, 2 * part.resolution + 1
+            row[[i for i, w in enumerate(small)
+                 if w[off:off + span] in part.members]] = exponent
+    position = {w: i for i, w in enumerate(small)}
+    big = rho + reach
+    pi = np.array([[position[u[big + j - rho:big + j + rho + 1]]
+                    for u in sub.factors(2 * big + 1)]
+                   for j in range(-reach, reach + 1)], dtype=np.intp)
+    vectors = base[:, pi[reach]]
+    index = {v.tobytes(): i for i, v in enumerate(vectors)}
+    cols = np.arange(vectors.shape[1])
+    products = np.empty((len(elements), len(elements)), dtype=np.intp)
+    for b, c in enumerate(vectors):
+        products[:, b] = [index.get(v.tobytes(), -1)
+                          for v in base[:, pi[c + reach, cols]] + c]
+    return vectors, products
+
+
 @dataclass(frozen=True)
 class EmbeddingEntry:
     word: ReducedWord
@@ -366,6 +403,10 @@ def local_embedding(generators, radius: int, partition: KRPartition) -> Embeddin
     ball map to products; and for every element and atom, fixing a sample
     point, having exponent zero, and fixing the atom are equivalent.
     Failures are report outcomes, not exceptions.
+
+    Products are formed and looked up as cocycle vectors (:func:`_cocycles`).
+    Two elements are equal exactly when their cocycles are, because the
+    subshift is aperiodic: T^m x = T^n x forces m = n.
     """
     ball = ball_elements(generators, radius)
     entries = []
@@ -389,15 +430,11 @@ def local_embedding(generators, radius: int, partition: KRPartition) -> Embeddin
         else:
             seen[e.image] = e.word
 
-    elem_index = {e.element: i for i, e in enumerate(entries)}
+    _, products = _cocycles([e.element for e in entries])
     mult_failures = []
-    for a in entries:
-        for b in entries:
-            product = a.element * b.element
-            i = elem_index.get(product)
-            if i is None:
-                continue
-            if entries[i].image != a.image * b.image:
+    for a, row in zip(entries, products.tolist()):
+        for b, i in zip(entries, row):
+            if i >= 0 and entries[i].image != a.image * b.image:
                 mult_failures.append((a.word, b.word))
 
     blockstab_failures = []

@@ -25,6 +25,7 @@ from .words import (Ball, InvariantError, ReducedWord, ResourceLimitError,
 
 _REALIZATION_CAP = 10**6     # points of one coset realization
 _ENUMERATION_CAP = 2 * 10**6  # colorings enumerated by the exact Vershik IRS
+_SAMPLE_BLOCK = 4096          # colorings drawn at once by the sampled Vershik IRS
 
 
 @dataclass(frozen=True)
@@ -588,9 +589,13 @@ def _vershik(weights, pairs, size, ball, mode, n_samples, seed) -> EmpiricalIRS:
         p = np.array([float(a) for a in weights])
         cdf = (p / p.sum()).cumsum()
         cdf /= cdf[-1]
-        u = rng.random((n_samples, size))
-        colorings = np.zeros((n_samples, size), dtype=dtype)
-        for edge in cdf[:-1]:
-            colorings += u >= edge
-        return _sampled_irs(ball, _fixation_rows(colorings, pairs))
+        # drawn in row blocks, which continue one stream, to bound memory
+        rows = np.empty((n_samples, len(pairs)), dtype=bool)
+        for start in range(0, n_samples, _SAMPLE_BLOCK):
+            u = rng.random((min(_SAMPLE_BLOCK, n_samples - start), size))
+            colorings = np.zeros(u.shape, dtype=dtype)
+            for edge in cdf[:-1]:
+                colorings += u >= edge
+            rows[start:start + len(u)] = _fixation_rows(colorings, pairs)
+        return _sampled_irs(ball, rows)
     raise ValueError(f"unknown mode {mode!r}")

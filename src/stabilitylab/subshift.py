@@ -418,8 +418,10 @@ class ErgodicMeasure:
     Frequencies are read off iterates of the substitution: the table at each
     word length is the exact rational frequency vector of a deep iterate,
     accepted once consecutive iterates agree well below the advertised
-    tolerance (and the iterate exhibits every admissible word).  Length-1
-    frequencies are cross-checked against the Perron eigenvector.
+    tolerance (and the iterate exhibits every admissible word).  Iterates are
+    compared by their integer window counts, cross-multiplied, so Fractions
+    are made only for the accepted one.  Length-1 frequencies are
+    cross-checked against the Perron eigenvector.
     """
 
     tolerance = 1e-9
@@ -485,18 +487,18 @@ def _frequency_table(sub: Substitution, length: int,
         suf[x] = s[len(s) - (k - 1):] if k > 1 else ""
         total[x] = len(s)
     want_keys = sub.factor_set(k)
-    prev: dict[str, Fraction] | None = None
+    prev = None
     while True:
-        windows = total[seed] - k + 1
-        if sum(counts[seed].values()) != windows:
+        cur, windows = counts[seed], total[seed] - k + 1
+        if sum(cur.values()) != windows:
             raise InvariantError("a factor window was lost or doubled")
-        freq = {w: Fraction(c, windows) for w, c in counts[seed].items()}
-        if prev is not None and set(freq) == want_keys:
-            worst = max(abs(freq.get(w, Fraction(0)) - prev.get(w, Fraction(0)))
-                        for w in set(freq) | set(prev))
-            if worst < threshold:
-                return freq
-        prev = freq
+        if prev is not None and cur.keys() == want_keys:
+            # |c/n - c0/n0| < p/q, cleared of denominators
+            old, n0 = prev
+            worst = max(abs(cur[w] * n0 - old[w] * windows) for w in cur.keys() | old)
+            if worst * threshold.denominator < threshold.numerator * n0 * windows:
+                return {w: Fraction(c, windows) for w, c in cur.items()}
+        prev = cur, windows
         level += 1
         if level > _MAX_LEVEL:
             raise ResourceLimitError(

@@ -6,6 +6,7 @@ route than the library code it checks.
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from stabilitylab.irs import (CylinderFingerprint, EmpiricalIRS, _alt_like_marki
 from stabilitylab.perms import (GenTuple, Perm, ball_images, generate_closure,
                                 identity_perm, word_eval)
 from stabilitylab.subshift import ClopenSet, KRPartition, Tower, is_partition
+from stabilitylab.words import InvariantError
 from stabilitylab.words import enumerate_ball
 
 
@@ -69,6 +71,71 @@ def expected_fullgroup_irs(partition, report, k, radius, measure) -> dict:
         fp = CylinderFingerprint.from_words(radius, words)
         masses[fp] = masses.get(fp, 0.0) + mass
     return masses
+
+
+def expected_multiplicativity(entries):
+    """Products of embedding entries as ``TableElement`` products.
+
+    Returns the (a, b, c) index triples with entries[a] * entries[b] equal to
+    entries[c], and the (a.word, b.word) pairs whose images fail to multiply,
+    in row-major pair order.
+    """
+    elem_index = {e.element: i for i, e in enumerate(entries)}
+    triples, failures = set(), []
+    for ia, a in enumerate(entries):
+        for ib, b in enumerate(entries):
+            i = elem_index.get(a.element * b.element)
+            if i is None:
+                continue
+            triples.add((ia, ib, i))
+            if entries[i].image != a.image * b.image:
+                failures.append((a.word, b.word))
+    return triples, failures
+
+
+def expected_frequency_table(sub, length: int, threshold: Fraction) -> dict:
+    """Block frequencies of deepening iterates of the first letter, as
+    ``Fraction`` dicts, until consecutive dicts differ by under the threshold
+    everywhere and the iterate shows every admissible block."""
+    letters = sub.alphabet
+    k = length
+    level = 0
+    while min(sub.expansion_lengths(level).values()) < k:
+        level += 1
+    counts, pre, suf, total = {}, {}, {}, {}
+    for x in letters:
+        s = sub.expansion(x, level)
+        counts[x] = Counter(s[i:i + k] for i in range(len(s) - k + 1))
+        pre[x] = s[:k - 1]
+        suf[x] = s[len(s) - (k - 1):] if k > 1 else ""
+        total[x] = len(s)
+    want_keys = sub.factor_set(k)
+    prev = None
+    for _ in range(400):
+        windows = total[letters[0]] - k + 1
+        freq = {w: Fraction(c, windows) for w, c in counts[letters[0]].items()}
+        if prev is not None and set(freq) == want_keys:
+            worst = max(abs(freq.get(w, Fraction(0)) - prev.get(w, Fraction(0)))
+                        for w in set(freq) | set(prev))
+            if worst < threshold:
+                return freq
+        prev = freq
+        new_counts, new_pre, new_suf, new_total = {}, {}, {}, {}
+        for x in letters:
+            ys = sub.images[x]
+            acc = Counter()
+            for y in ys:
+                acc.update(counts[y])
+            for left, right in zip(ys, ys[1:]):
+                junction = suf[left] + pre[right]
+                acc.update(junction[i:i + k]
+                           for i in range(len(junction) - k + 1))
+            new_counts[x] = acc
+            new_pre[x] = pre[ys[0]]
+            new_suf[x] = suf[ys[-1]]
+            new_total[x] = sum(total[y] for y in ys)
+        counts, pre, suf, total = new_counts, new_pre, new_suf, new_total
+    raise InvariantError("frequencies did not settle")
 
 
 def expected_fixation_rows(colorings, pairs) -> np.ndarray:

@@ -1,19 +1,21 @@
+import dataclasses
 import json
 import random
 
+import numpy as np
 import pytest
 
-from oracles import expected_fullgroup_irs
+from oracles import expected_fullgroup_irs, expected_multiplicativity
 from stabilitylab import fullgroup, subshift
-from stabilitylab.fullgroup import (CocycleNotConstantError, TableElement,
-                                    adapted_partition, atom_action,
+from stabilitylab.fullgroup import (CocycleNotConstantError, SymbolicPoint,
+                                    TableElement, adapted_partition, atom_action,
                                     atom_exponents, ball_elements,
                                     element_to_json, fullgroup_irs,
                                     fullgroup_irs_limit_check, identity_element,
                                     local_embedding, point_inside,
                                     sample_points, three_cycle, tower_gadgets)
-from stabilitylab.subshift import (ErgodicMeasure, KRPartition, cylinder, fibonacci,
-                                   full_set, kr_partition)
+from stabilitylab.subshift import (ErgodicMeasure, KRPartition, chacon, cylinder,
+                                   fibonacci, full_set, kr_partition, thue_morse)
 from stabilitylab.words import (ReducedWord, ResourceLimitError, enumerate_ball,
                                 identity, word_from_string)
 
@@ -317,6 +319,43 @@ class TestLocalEmbedding:
         report = local_embedding(gadgets, 1, part)
         data = json.loads(report.to_json())
         assert data["passed"] is True and data["atoms"] == report.atom_count
+
+
+class TestCocycleProducts:
+    # (substitution, gadget words, seed word, radius, multiplicativity failures);
+    # seed abba leaves Thue-Morse tower tops at exponent +1, so products break
+    CASES = ([(fibonacci, ("aa", "baa"), "abaab", r, 0) for r in (3, 4)]
+             + [(thue_morse, ("aa", "bab"), "abba", r, n)
+                for r, n in ((1, 4), (2, 14), (3, 90))]
+             + [(thue_morse, ("aa",), "abba", r, 2) for r in (1, 2)]
+             + [(chacon, ("aa", "bca"), "abc", r, n) for r, n in ((1, 2), (2, 14))])
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: "-".join(
+        [c[0].__name__, *c[1], c[2], str(c[3])]))
+    def test_matches_table_products(self, case):
+        make_sub, gadget_words, seed, radius, failure_count = case
+        sub = make_sub()
+        gens = [three_cycle(cylinder(sub, w)) for w in gadget_words]
+        report = local_embedding(gens, radius, adapted_partition(sub, gens, radius, seed))
+        assert not report.cocycle_failures
+        _, products = fullgroup._cocycles([e.element for e in report.entries])
+        triples, failures = expected_multiplicativity(report.entries)
+        assert {(a, b, c) for (a, b), c in np.ndenumerate(products) if c >= 0} == triples
+        assert list(report.multiplicativity_failures) == failures
+        assert len(failures) == failure_count
+        expected = dataclasses.replace(report, multiplicativity_failures=tuple(failures))
+        assert report.to_json() == expected.to_json()
+
+    def test_vectors_are_pointwise_cocycles(self):
+        gens = _nonabelian()
+        elements = [g for _, g in ball_elements(gens, 2).representatives]
+        vectors, _ = fullgroup._cocycles(elements)
+        rho = max(c.resolution for g in elements for c, _ in g.parts)
+        big = rho + max(g.max_exponent() for g in elements)
+        windows = FIB.factors(2 * big + 1)
+        assert vectors.shape == (len(elements), len(windows))
+        for g, row in zip(elements, vectors.tolist()):
+            assert row == [SymbolicPoint(u, big).cocycle(g) for u in windows]
 
 
 class TestFullgroupIRS:

@@ -14,7 +14,7 @@ from stabilitylab.irs import (CylinderFingerprint, EmpiricalIRS, FiniteGSet,
                               irs_of_gset, mixture, pad_gset, point_mass_irs,
                               realize_irs_as_gset, relabel, sample_irs,
                               trivial_gset, tv_standard_error, vershik_irs)
-from stabilitylab.irs import _fixation_rows
+from stabilitylab.irs import _SAMPLE_BLOCK, _fixation_rows
 from stabilitylab.perms import (GenTuple, Perm, alt_marking, generate_closure,
                                 identity_perm, word_eval)
 from stabilitylab.words import (ResourceLimitError, enumerate_ball, identity,
@@ -437,6 +437,20 @@ class TestVershik:
                                                     seed, window=window)
                 assert irs == expected
                 assert irs.to_json_lines() == expected.to_json_lines()
+
+    @pytest.mark.parametrize("n_samples", [
+        1, _SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1, 2 * _SAMPLE_BLOCK + 3])
+    @pytest.mark.parametrize("target", ["alt:20", "az"])
+    def test_blockwise_draw_matches_one_draw(self, target, n_samples):
+        # the colorings are drawn _SAMPLE_BLOCK rows at a time, the oracle's at once
+        alpha = [Fraction(1, 5), Fraction(3, 10), Fraction(1, 2)]
+        window = 6 if target == "az" else None
+        irs = vershik_irs(alpha, target, radius=2, mode="sampled", window=window,
+                          n_samples=n_samples, seed=11)
+        expected = expected_sampled_vershik(alpha, target, 2, n_samples, 11,
+                                            window=window)
+        assert irs.n_samples == n_samples
+        assert irs.to_json_lines() == expected.to_json_lines()
 
     def test_word_moving_no_pair_fixes_every_coloring(self):
         colorings = np.random.default_rng(6).integers(0, 2, size=(50, 5)).astype(np.uint8)

@@ -1,10 +1,11 @@
 import gc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import expected_refine_kr
+from oracles import expected_frequency_table, expected_refine_kr
 from stabilitylab import subshift
 from stabilitylab.fullgroup import ball_elements, three_cycle
 from stabilitylab.subshift import (ClopenSet, ErgodicMeasure, KRPartition,
@@ -240,6 +241,14 @@ class TestMeasure:
             for w in sub.factors(length):
                 extended = sum(meas.frequency(w + ch) for ch in sub.alphabet)
                 assert extended == pytest.approx(meas.frequency(w), abs=1e-9)
+
+    @pytest.mark.parametrize("length", list(range(1, 22)) + [71])
+    @pytest.mark.parametrize("sub", [fibonacci(), thue_morse(), chacon()],
+                             ids=["fibonacci", "thue-morse", "chacon"])
+    def test_integer_settling_matches_fraction_iterates(self, sub, length):
+        threshold = Fraction(ErgodicMeasure.tolerance).limit_denominator(10**15) / 1000
+        assert subshift._frequency_table(sub, length, threshold) == \
+            expected_frequency_table(sub, length, threshold)
 
     def test_thue_morse_letters_balanced(self):
         meas = ErgodicMeasure(thue_morse())
