@@ -26,7 +26,7 @@ from .subshift import (ClopenSet, ErgodicMeasure, KRPartition, Substitution,
                        full_set, is_partition, kr_partition, refine_kr,
                        return_words)
 from .words import (Ball, InvariantError, ReducedWord, ResourceLimitError,
-                    ball_levels, enumerate_ball)
+                    enumerate_ball, evaluate_levels)
 
 _ELEMENT_CAP = 4096      # distinct elements in a generator ball
 _TUPLE_CAP = 10**7       # atom k-tuples behind one stabilizer pushforward
@@ -212,42 +212,80 @@ class BallElements:
     ball: Ball              # the free-group ball that was walked
     representatives: tuple  # (ReducedWord, TableElement) per distinct element
     word_to_index: dict     # every ball word -> index into representatives
+    products: tuple         # [a][b]: index of rep a * rep b (b first), or -1
 
 
 def ball_elements(generators, radius: int) -> BallElements:
-    """Walk the ball level by level with exact element dedup.
+    """Walk the ball on the points of one window length, with exact dedup.
 
-    A word's element is its parent's times its last letter, along
-    :func:`words.ball_levels`; the first word of an element in shortlex
-    order represents it.
+    With rho the largest part resolution of a letter (inverses included), M
+    the largest |exponent| and R = rho + (2r - 1)M, each admissible window u
+    of radius R stands for a point x_u.  A level-k word's row holds, for each
+    |j| <= (2r - k)M, the offset its element sends T^j x_u to: its parent's
+    row gathered through its last letter's index array
+    (:func:`words.evaluate_levels`).  Offset 0, the cocycle, is read off the
+    radius-R window and dedups elements exactly, as the subshift is aperiodic;
+    an element's first shortlex word represents it.  A product of
+    representatives is the left one's row read at the right one's cocycle.
     """
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator")
-    rank = len(gens)
-    by_letter = {}
-    for i, g in enumerate(gens, start=1):
-        by_letter[i] = g
-        by_letter[-i] = g.inverse()
+    sub = gens[0].sub
+    if any(g.sub != sub for g in gens):
+        raise ValueError("elements over different subshifts")
+    letters = {l: g if l > 0 else g.inverse() for i, g in enumerate(gens, 1) for l in (i, -i)}
+    rho = max(c.resolution for g in letters.values() for c, _ in g.parts)
+    reach = max(g.max_exponent() for g in gens)
+    keep = radius * reach  # the offsets a representative's row keeps
+    big = rho + max(2 * keep - reach, 0)
+    windows = sub.factors(2 * big + 1)
+    n = len(windows)
+    position = {w: i for i, w in enumerate(sub.factors(2 * rho + 1))}
+    pi = np.array([[position[u[s:s + 2 * rho + 1]] for u in windows]
+                   for s in range(2 * big - 2 * rho + 1)])
+    # steps[l][s, u]: the exponent of letter l at T^(s + rho - big) x_u
+    steps = {l: np.array([SymbolicPoint(w, rho).cocycle(g) for w in position])[pi]
+             for l, g in letters.items()}
 
-    def levels():
-        level = [identity_element(gens[0].sub)]
-        yield level
-        for parents, letters in ball_levels(rank, radius):
-            level = [level[p] * by_letter[l]
-                     for p, l in zip(parents.tolist(), letters.tolist())]
-            yield level
+    def columns(k):  # rows are offset-major: offset j of x_u sits at (j + h) * n + u
+        h = (2 * radius - k) * reach
+        lo, span = big - rho - h, np.arange(2 * h + 1)[:, None] + reach
+        return {l: ((span + s[lo:lo + 2 * h + 1]) * n + np.arange(n)).ravel()
+                for l, s in steps.items()}
 
-    ball = enumerate_ball(rank, radius)
-    reps, index_of, word_to_index = [], {}, {}
-    for word, elem in zip(ball.words, itertools.chain.from_iterable(levels())):
-        if elem not in index_of:
-            if len(reps) >= _ELEMENT_CAP:
+    root = np.repeat(np.arange(-2 * keep, 2 * keep + 1,
+                               dtype=np.min_scalar_type(-2 * keep - 1)), n)
+    rows = itertools.chain.from_iterable(  # each word's offsets |j| <= keep
+        level[:, (radius - k) * reach * n:((3 * radius - k) * reach + 1) * n]
+        for k, level in enumerate(evaluate_levels(len(gens), radius, root, columns)))
+    ball = enumerate_ball(len(gens), radius)
+    reps, index_of, word_to_index, kept = [], {}, {}, []
+    for word, row in zip(ball.words, rows):
+        i = index_of.setdefault(row[keep * n:(keep + 1) * n].tobytes(), len(kept))
+        if i == len(kept):
+            if i == _ELEMENT_CAP:
                 raise ResourceLimitError("ball exceeds the element cap")
-            index_of[elem] = len(reps)
-            reps.append((word, elem))
-        word_to_index[word] = index_of[elem]
-    return BallElements(ball, tuple(reps), word_to_index)
+            reps.append(word)
+            kept.append(row.copy())
+        word_to_index[word] = i
+    cocycles = np.stack(kept)[:, keep * n:(keep + 1) * n]
+    frame = (cocycles.astype(np.intp) + keep) * n + np.arange(n)
+    products = tuple(tuple(index_of.get(p.tobytes(), -1) for p in row[frame])
+                     for row in kept)
+    elements = (_table(sub, windows, big, c) for c in cocycles.tolist())
+    return BallElements(ball, tuple(zip(reps, elements)), word_to_index, products)
+
+
+def _table(sub, windows, big, cocycle):
+    """The table element with this cocycle on the radius-big windows, its parts
+    at the least radius whose central subwindow determines the cocycle."""
+    for t in range(big + 1):
+        pairs = set(zip((u[big - t:big + t + 1] for u in windows), cocycle))
+        if len(pairs) == len(dict(pairs)):  # each subwindow has one exponent
+            parts = [(ClopenSet(sub, t, [w for w, b in pairs if b == a]), a)
+                     for a in set(cocycle)]
+            return TableElement(sub, parts, _validated=True)
 
 
 # ---------------------------------------------------------------------------
@@ -300,43 +338,6 @@ def _tower_perm(exps, partition: KRPartition) -> Perm:
             images[start + i] = start + j
         start += h
     return Perm(tuple(images))
-
-
-def _cocycles(elements):
-    """Cocycle vectors of distinct elements, and their multiplication table.
-
-    With rho the largest part resolution and M the largest |exponent|, every
-    exponent is read off the radius-rho window, and a product's off the
-    radius-(rho + M) window: c_gh(x) = c_h(x) + c_g(T^c_h(x) x).  ``pi[j + M]``
-    maps each radius-(rho + M) window to its radius-rho subwindow centred at
-    offset j, so a product is one gather.  Returns the (elements, windows)
-    exponents on the radius-(rho + M) windows, and the (elements, elements)
-    table whose [a, b] entry indexes elements[a] * elements[b] among the
-    elements, or is -1.
-    """
-    sub = elements[0].sub
-    rho = max(c.resolution for g in elements for c, _ in g.parts)
-    reach = max(g.max_exponent() for g in elements)
-    small = sub.factors(2 * rho + 1)
-    base = np.empty((len(elements), len(small)), dtype=np.int64)
-    for row, g in zip(base, elements):
-        for part, exponent in g.parts:
-            off, span = rho - part.resolution, 2 * part.resolution + 1
-            row[[i for i, w in enumerate(small)
-                 if w[off:off + span] in part.members]] = exponent
-    position = {w: i for i, w in enumerate(small)}
-    big = rho + reach
-    pi = np.array([[position[u[big + j - rho:big + j + rho + 1]]
-                    for u in sub.factors(2 * big + 1)]
-                   for j in range(-reach, reach + 1)], dtype=np.intp)
-    vectors = base[:, pi[reach]]
-    index = {v.tobytes(): i for i, v in enumerate(vectors)}
-    cols = np.arange(vectors.shape[1])
-    products = np.empty((len(elements), len(elements)), dtype=np.intp)
-    for b, c in enumerate(vectors):
-        products[:, b] = [index.get(v.tobytes(), -1)
-                          for v in base[:, pi[c + reach, cols]] + c]
-    return vectors, products
 
 
 @dataclass(frozen=True)
@@ -404,9 +405,7 @@ def local_embedding(generators, radius: int, partition: KRPartition) -> Embeddin
     point, having exponent zero, and fixing the atom are equivalent.
     Failures are report outcomes, not exceptions.
 
-    Products are formed and looked up as cocycle vectors (:func:`_cocycles`).
-    Two elements are equal exactly when their cocycles are, because the
-    subshift is aperiodic: T^m x = T^n x forces m = n.
+    The product table is the ball's (:attr:`BallElements.products`).
     """
     ball = ball_elements(generators, radius)
     entries = []
@@ -430,9 +429,8 @@ def local_embedding(generators, radius: int, partition: KRPartition) -> Embeddin
         else:
             seen[e.image] = e.word
 
-    _, products = _cocycles([e.element for e in entries])
     mult_failures = []
-    for a, row in zip(entries, products.tolist()):
+    for a, row in zip(entries, ball.products):
         for b, i in zip(entries, row):
             if i >= 0 and entries[i].image != a.image * b.image:
                 mult_failures.append((a.word, b.word))

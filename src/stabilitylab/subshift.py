@@ -61,6 +61,8 @@ class Substitution:
             m = re.fullmatch(r"(\w)\s*->\s*(\w+)", rule)
             if not m:
                 raise ValueError(f"cannot parse rule {rule!r}")
+            if m.group(1) in images:
+                raise ValueError(f"letter {m.group(1)!r} has more than one rule")
             images[m.group(1)] = m.group(2)
         return cls("".join(images), images)
 

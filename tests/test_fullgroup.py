@@ -2,13 +2,12 @@ import dataclasses
 import json
 import random
 
-import numpy as np
 import pytest
 
 from oracles import expected_fullgroup_irs, expected_multiplicativity
 from stabilitylab import fullgroup, subshift
-from stabilitylab.fullgroup import (CocycleNotConstantError, SymbolicPoint,
-                                    TableElement, adapted_partition, atom_action,
+from stabilitylab.fullgroup import (CocycleNotConstantError, TableElement,
+                                    adapted_partition, atom_action,
                                     atom_exponents, ball_elements,
                                     element_to_json, fullgroup_irs,
                                     fullgroup_irs_limit_check, identity_element,
@@ -32,8 +31,12 @@ def measure():
     return ErgodicMeasure(FIB)
 
 
+def _gadgets(sub, *words):
+    return [three_cycle(cylinder(sub, w)) for w in words]
+
+
 def _nonabelian():
-    return [three_cycle(cylinder(FIB, "aa")), three_cycle(cylinder(FIB, "baa"))]
+    return _gadgets(FIB, "aa", "baa")
 
 
 class TestTableElement:
@@ -167,14 +170,26 @@ class TestBallElements:
         assert set(ball.word_to_index) == set(enumerate_ball(2, 2).words)
         assert ball.ball == enumerate_ball(2, 2)
 
-    @pytest.mark.parametrize("radius", [0, 1, 2, 3])
-    def test_matches_letter_by_letter_products(self, radius):
+    # generator makers and radii; the Fibonacci gadgets keep the plain radius
+    # ids.  T^5 at radius 14 reaches exponent 70, whose table sits at
+    # resolution 0 while a word-length bound rho + 13M would put it at 65
+    LETTER_FOLD_CASES = (
+        [pytest.param(_nonabelian, r, id=str(r)) for r in range(4)]
+        + [pytest.param(lambda: _gadgets(thue_morse(), "aa", "bab"), r,
+                        id=f"thue_morse-{r}") for r in range(4)]
+        + [pytest.param(lambda: _gadgets(chacon(), "aa", "bca"), r,
+                        id=f"chacon-{r}") for r in range(4)]
+        + [pytest.param(lambda: [TableElement(FIB, [(full_set(FIB), 5)])], 14,
+                        id="shift5-14")])
+
+    @pytest.mark.parametrize("make_gens, radius", LETTER_FOLD_CASES)
+    def test_matches_letter_by_letter_products(self, make_gens, radius):
         # fold every ball word into a product letter by letter; an element is
         # represented by the shortlex-least word reaching it
-        gens = _nonabelian()
+        gens = make_gens()
         words_of: dict = {}
-        for word in enumerate_ball(2, radius).words:
-            elem = identity_element(FIB)
+        for word in enumerate_ball(len(gens), radius).words:
+            elem = identity_element(gens[0].sub)
             for letter in word.letters:
                 g = gens[abs(letter) - 1]
                 elem = elem * (g if letter > 0 else g.inverse())
@@ -186,6 +201,11 @@ class TestBallElements:
         assert ball.representatives == tuple(reps)
         for word, i in ball.word_to_index.items():
             assert word in words_of[reps[i][1]]
+
+    def test_generators_over_different_subshifts(self):
+        gens = [three_cycle(cylinder(FIB, "aa")), three_cycle(cylinder(thue_morse(), "aa"))]
+        with pytest.raises(ValueError, match="elements over different subshifts"):
+            ball_elements(gens, 1)
 
     def test_element_cap(self, monkeypatch):
         monkeypatch.setattr(fullgroup, "_ELEMENT_CAP", 5)
@@ -335,27 +355,17 @@ class TestCocycleProducts:
     def test_matches_table_products(self, case):
         make_sub, gadget_words, seed, radius, failure_count = case
         sub = make_sub()
-        gens = [three_cycle(cylinder(sub, w)) for w in gadget_words]
+        gens = _gadgets(sub, *gadget_words)
         report = local_embedding(gens, radius, adapted_partition(sub, gens, radius, seed))
         assert not report.cocycle_failures
-        _, products = fullgroup._cocycles([e.element for e in report.entries])
+        products = ball_elements(gens, radius).products
         triples, failures = expected_multiplicativity(report.entries)
-        assert {(a, b, c) for (a, b), c in np.ndenumerate(products) if c >= 0} == triples
+        assert {(a, b, c) for a, row in enumerate(products)
+                for b, c in enumerate(row) if c >= 0} == triples
         assert list(report.multiplicativity_failures) == failures
         assert len(failures) == failure_count
         expected = dataclasses.replace(report, multiplicativity_failures=tuple(failures))
         assert report.to_json() == expected.to_json()
-
-    def test_vectors_are_pointwise_cocycles(self):
-        gens = _nonabelian()
-        elements = [g for _, g in ball_elements(gens, 2).representatives]
-        vectors, _ = fullgroup._cocycles(elements)
-        rho = max(c.resolution for g in elements for c, _ in g.parts)
-        big = rho + max(g.max_exponent() for g in elements)
-        windows = FIB.factors(2 * big + 1)
-        assert vectors.shape == (len(elements), len(windows))
-        for g, row in zip(elements, vectors.tolist()):
-            assert row == [SymbolicPoint(u, big).cocycle(g) for u in windows]
 
 
 class TestFullgroupIRS:

@@ -136,6 +136,13 @@ class TestCLI:
         assert code == 1
         assert "subshift-kr" in capsys.readouterr().err
 
+    def test_repeated_substitution_rule_exits_with_a_message(self, tmp_path, capsys):
+        code = main(["subshift-kr", "--substitution", "a->ab;b->a;a->aab",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert ("error in subshift-kr: letter 'a' has more than one rule"
+                in capsys.readouterr().err)
+
     def test_read_config_rejects_garbage(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("not a config line\n")

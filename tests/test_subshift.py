@@ -44,6 +44,12 @@ class TestSubstitution:
         with pytest.raises(ValueError):
             Substitution.parse("a->")
 
+    def test_parse_rejects_a_repeated_letter(self):
+        with pytest.raises(ValueError, match="letter 'a' has more than one rule"):
+            Substitution.parse("a->ab;b->a;a->aab")
+        with pytest.raises(ValueError, match="letter 'b' has more than one rule"):
+            substitution_by_name("a->ab;b->a;b->a")
+
     def test_nonprimitive_rejected(self):
         with pytest.raises(ValueError, match="primitive"):
             Substitution("ab", {"a": "aaba", "b": "b"})
