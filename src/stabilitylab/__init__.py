@@ -37,8 +37,8 @@ from .challenges import (FSetPair, challenge_defect, d_gen_bound, d_gen_exact,
 from .subshift import (ClopenSet, ErgodicMeasure, KRPartition, Substitution,
                        chacon, cylinder, fibonacci, full_set, kr_partition,
                        refine_kr, return_words, substitution_by_name, thue_morse)
-from .fullgroup import (TableElement, adapted_partition, atom_action,
-                        ball_elements, fullgroup_irs, fullgroup_irs_limit_check,
+from .fullgroup import (TableElement, adapted_partition, ball_elements,
+                        fullgroup_irs, fullgroup_irs_limit_check,
                         identity_element, local_embedding, three_cycle,
                         tower_gadgets)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,14 +31,6 @@ from .words import (Ball, InvariantError, ReducedWord, ResourceLimitError,
 _ELEMENT_CAP = 4096      # distinct elements in a generator ball
 _TUPLE_CAP = 10**7       # atom k-tuples behind one stabilizer pushforward
 _SEED_CAP = 64           # length of the seed word adapted_partition deepens
-
-
-class CocycleNotConstantError(ValueError):
-    """An atom straddles two parts of a table element."""
-
-    def __init__(self, atom_index: int):
-        super().__init__(f"table exponent is not constant on atom {atom_index}")
-        self.atom_index = atom_index
 
 
 class TableElement:
@@ -213,6 +205,8 @@ class BallElements:
     representatives: tuple  # (ReducedWord, TableElement) per distinct element
     word_to_index: dict     # every ball word -> index into representatives
     products: tuple         # [a][b]: index of rep a * rep b (b first), or -1
+    windows: tuple          # the radius-R windows of the walk, sorted
+    cocycles: np.ndarray = field(compare=False)  # [a][u]: rep a's exponent on windows[u]
 
 
 def ball_elements(generators, radius: int) -> BallElements:
@@ -225,8 +219,9 @@ def ball_elements(generators, radius: int) -> BallElements:
     row gathered through its last letter's index array
     (:func:`words.evaluate_levels`).  Offset 0, the cocycle, is read off the
     radius-R window and dedups elements exactly, as the subshift is aperiodic;
-    an element's first shortlex word represents it.  A product of
-    representatives is the left one's row read at the right one's cocycle.
+    an element's first shortlex word represents it, and its cocycle is kept.
+    A product of representatives is the left one's row read at the right
+    one's cocycle.
     """
     gens = list(generators)
     if not gens:
@@ -269,12 +264,13 @@ def ball_elements(generators, radius: int) -> BallElements:
             reps.append(word)
             kept.append(row.copy())
         word_to_index[word] = i
-    cocycles = np.stack(kept)[:, keep * n:(keep + 1) * n]
+    cocycles = np.stack([row[keep * n:(keep + 1) * n] for row in kept])
     frame = (cocycles.astype(np.intp) + keep) * n + np.arange(n)
     products = tuple(tuple(index_of.get(p.tobytes(), -1) for p in row[frame])
                      for row in kept)
     elements = (_table(sub, windows, big, c) for c in cocycles.tolist())
-    return BallElements(ball, tuple(zip(reps, elements)), word_to_index, products)
+    return BallElements(ball, tuple(zip(reps, elements)), word_to_index, products,
+                        windows, cocycles)
 
 
 def _table(sub, windows, big, cocycle):
@@ -291,33 +287,10 @@ def _table(sub, windows, big, cocycle):
 # ---------------------------------------------------------------------------
 # atom actions and local embeddings
 
-def atom_exponents(g: TableElement, partition: KRPartition) -> tuple[int, ...]:
-    """The table exponent on each atom; the partition must make them constant."""
-    out = []
-    for index, atom in enumerate(partition.atoms()):
-        exponent = None
-        for part, a in g.parts:
-            if atom.part.is_subset(part):
-                exponent = a
-                break
-        if exponent is None:
-            raise CocycleNotConstantError(index)
-        out.append(exponent)
-    return tuple(out)
-
-
-def atom_action(g: TableElement, partition: KRPartition) -> Perm:
-    """The tower-preserving atom permutation induced by a table element.
-
-    Atoms whose shifted level stays inside their tower map there directly;
-    the leftover sources and targets in each tower are matched in increasing
-    height order.  Whether this completion is faithful is exactly what the
-    embedding report checks.
-    """
-    return _tower_perm(atom_exponents(g, partition), partition)
-
-
 def _tower_perm(exps, partition: KRPartition) -> Perm:
+    """The tower-preserving atom permutation of per-atom exponents: atoms whose
+    shifted level stays in their tower map there, and each tower's leftover
+    sources and targets are matched in increasing height order."""
     images = [None] * len(exps)
     start = 0
     for tower in partition.towers:
@@ -405,39 +378,48 @@ def local_embedding(generators, radius: int, partition: KRPartition) -> Embeddin
     point, having exponent zero, and fixing the atom are equivalent.
     Failures are report outcomes, not exceptions.
 
-    The product table is the ball's (:attr:`BallElements.products`).
+    An element's exponents are its :attr:`BallElements.cocycles` row read at
+    the radius-R windows each atom covers; the first atom where the row is not
+    constant is its cocycle failure.  Products read the ball's product table.
     """
     ball = ball_elements(generators, radius)
-    entries = []
-    cocycle_failures = []
-    for word, elem in ball.representatives:
-        try:
-            exps = atom_exponents(elem, partition)
-        except CocycleNotConstantError as err:
-            cocycle_failures.append((word, err.atom_index))
-            continue
-        entries.append(EmbeddingEntry(word, elem, _tower_perm(exps, partition), exps))
+    if ball.representatives[0][1].sub != partition.sub:
+        raise ValueError("partition and generators over different subshifts")
+    atoms = partition.atoms()
+    big = len(ball.windows[0]) // 2
+    column = {w: i for i, w in enumerate(ball.windows)}
+    cols, starts = [], []
+    for atom in atoms:
+        lifted = atom.part.at_resolution(max(atom.part.resolution, big))
+        off = lifted.resolution - big
+        starts.append(len(cols))
+        cols.extend({column[w[off:off + 2 * big + 1]] for w in lifted.members})
+    values = ball.cocycles[:, cols]
+    exponents = np.minimum.reduceat(values, starts, axis=1)
+    constant = exponents == np.maximum.reduceat(values, starts, axis=1)
+    entries, cocycle_failures = [], []
+    rows = zip(ball.representatives, constant, map(tuple, exponents.tolist()))
+    for (word, elem), ok, exps in rows:
+        if ok.all():
+            entries.append(EmbeddingEntry(word, elem, _tower_perm(exps, partition), exps))
+        else:
+            cocycle_failures.append((word, int(ok.argmin())))
     if cocycle_failures:
-        return EmbeddingReport(ball.ball, len(partition.atoms()), tuple(entries),
+        return EmbeddingReport(ball.ball, len(atoms), tuple(entries),
                                {}, (), (), (), tuple(cocycle_failures))
 
-    collisions = []
-    seen: dict[Perm, ReducedWord] = {}
-    for e in entries:
-        if e.image in seen:
-            collisions.append((seen[e.image], e.word))
-        else:
-            seen[e.image] = e.word
+    first = {e.image: e.word for e in reversed(entries)}  # each image's first word
+    collisions = [(first[e.image], e.word) for e in entries if first[e.image] != e.word]
 
-    mult_failures = []
-    for a, row in zip(entries, ball.products):
-        for b, i in zip(entries, row):
-            if i >= 0 and entries[i].image != a.image * b.image:
-                mult_failures.append((a.word, b.word))
+    # failed[a][b]: rep a * rep b is in the ball, its image not a's after b's
+    images = np.array([e.image.images for e in entries])
+    failed = [(row >= 0) & (images[a][images] != images[row]).any(axis=1)
+              for a, row in enumerate(np.array(ball.products))]
+    mult_failures = [(entries[a].word, entries[b].word)
+                     for a, b in zip(*np.nonzero(failed))]
 
     blockstab_failures = []
     margin = max(c.resolution for e in entries for c, _ in e.element.parts) + 1
-    atoms = partition.atoms()
     witnesses = [point_inside(atom.part, margin) for atom in atoms]
     for e in entries:
         for idx, atom in enumerate(atoms):

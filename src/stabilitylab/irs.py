@@ -581,8 +581,10 @@ def _vershik(weights, pairs, size, ball, mode, n_samples, seed) -> EmpiricalIRS:
         masses = fingerprint_masses(ball, blocks())
         return EmpiricalIRS(ball.radius, masses, exact=True)
     if mode == "sampled":
-        if not n_samples or seed is None:
+        if n_samples is None or seed is None:
             raise ValueError("sampled mode needs n_samples and seed")
+        if n_samples < 1:
+            raise ValueError(f"need n_samples >= 1, got {n_samples}")
         # inverse-CDF draw, as Generator.choice makes it: a coloring's color
         # is the number of interior CDF edges at or below its uniform draw
         rng = np.random.default_rng(seed)

@@ -73,6 +73,14 @@ def expected_fullgroup_irs(partition, report, k, radius, measure) -> dict:
     return masses
 
 
+def expected_atom_exponents(element, partition) -> tuple:
+    """The table exponent on each atom, by testing the atom against every part
+    as clopen sets; None where no single part holds the whole atom."""
+    return tuple(next((a for part, a in element.parts if atom.part.is_subset(part)),
+                      None)
+                 for atom in partition.atoms())
+
+
 def expected_multiplicativity(entries):
     """Products of embedding entries as ``TableElement`` products.
 

@@ -4,12 +4,11 @@ import random
 
 import pytest
 
-from oracles import expected_fullgroup_irs, expected_multiplicativity
+from oracles import (expected_atom_exponents, expected_fullgroup_irs,
+                     expected_multiplicativity)
 from stabilitylab import fullgroup, subshift
-from stabilitylab.fullgroup import (CocycleNotConstantError, TableElement,
-                                    adapted_partition, atom_action,
-                                    atom_exponents, ball_elements,
-                                    element_to_json, fullgroup_irs,
+from stabilitylab.fullgroup import (TableElement, adapted_partition,
+                                    ball_elements, element_to_json, fullgroup_irs,
                                     fullgroup_irs_limit_check, identity_element,
                                     local_embedding, point_inside,
                                     sample_points, three_cycle, tower_gadgets)
@@ -216,24 +215,27 @@ class TestBallElements:
 
 
 class TestAtomAction:
+    # the atom permutations local_embedding reports for ball elements
+
     def test_identity_action(self):
-        action = atom_action(identity_element(FIB), kr_partition(FIB, "aa"))
-        assert action.is_identity
+        report = local_embedding([identity_element(FIB)], 1, kr_partition(FIB, "aa"))
+        assert [e.image.is_identity for e in report.entries] == [True]
 
     def test_nonabelian_ball_stays_in_towers(self):
         gens = _nonabelian()
         part = adapted_partition(FIB, gens, 2, "abaab")
         atoms = part.atoms()
-        for _, elem in ball_elements(gens, 2).representatives:
-            action = atom_action(elem, part)
-            assert sorted(action.images) == list(range(len(atoms)))
+        report = local_embedding(gens, 2, part)
+        assert len(report.entries) == len(ball_elements(gens, 2).representatives)
+        for e in report.entries:
+            assert sorted(e.image.images) == list(range(len(atoms)))
             for idx, atom in enumerate(atoms):
-                assert atoms[action(idx)].tower == atom.tower
+                assert atoms[e.image(idx)].tower == atom.tower
 
     def test_pure_shift_rotates_towers(self):
         part = kr_partition(FIB, "aa")  # heights 3 and 5
         t = TableElement(FIB, [(full_set(FIB), 1)])
-        action = atom_action(t, part)
+        action = local_embedding([t], 1, part).image_of(word_from_string("a", 1))
         atoms = part.atoms()
         for idx, atom in enumerate(atoms):
             target = atoms[action(idx)]
@@ -241,22 +243,55 @@ class TestAtomAction:
             height = part.towers[atom.tower].height
             assert target.level == (atom.level + 1) % height
 
-    def test_under_refined_partition_is_rejected(self, gadgets):
-        g1, _ = gadgets
-        with pytest.raises(CocycleNotConstantError):
-            atom_action(g1, kr_partition(FIB, "a"))
-
     def test_gadget_action_within_towers(self, gadgets):
         part = adapted_partition(FIB, gadgets, 1, "aa")
         g1, _ = gadgets
-        exps = atom_exponents(g1, part)
-        action = atom_action(g1, part)
+        report = local_embedding(gadgets, 1, part)
+        entry = report.entries[report.word_to_index[word_from_string("a", 2)]]
+        assert entry.element == g1
+        exps, action = entry.exponents, entry.image
+        assert exps == expected_atom_exponents(g1, part)
         atoms = part.atoms()
         for idx, atom in enumerate(atoms):
             if exps[idx] != 0:
                 target = atoms[action(idx)]
                 assert target.tower == atom.tower
                 assert target.level == atom.level + exps[idx]
+
+    def test_partition_over_another_subshift(self):
+        with pytest.raises(ValueError, match="different subshifts"):
+            local_embedding(_nonabelian(), 1, kr_partition(thue_morse(), "aa"))
+
+
+class TestAtomExponents:
+    # (substitution, gadget words, seed word); the seed's own tower partition
+    # is under-refined for every ball of radius >= 1, so cocycle failures show
+    SUBS = ((fibonacci, ("aa", "baa"), "abaab"), (thue_morse, ("aa", "bab"), "abba"),
+            (chacon, ("aa", "bca"), "abc"))
+    # the Chacon partition adapted at radius 3 passes the resolution cap
+    CASES = [pytest.param(*sub, radius, adapted,
+                          id=f"{sub[0].__name__}-{radius}-{'adapted' if adapted else 'kr'}")
+             for sub in SUBS for radius in range(4) for adapted in (False, True)
+             if not (sub[0] is chacon and radius == 3 and adapted)]
+
+    @pytest.mark.parametrize("make_sub, gadget_words, seed, radius, adapted", CASES)
+    def test_entries_and_failures_match_subset_scan(self, make_sub, gadget_words,
+                                                    seed, radius, adapted):
+        sub = make_sub()
+        gens = _gadgets(sub, *gadget_words)
+        part = (adapted_partition(sub, gens, radius, seed) if adapted
+                else kr_partition(sub, seed))
+        entries, failures = [], []
+        for word, elem in ball_elements(gens, radius).representatives:
+            exps = expected_atom_exponents(elem, part)
+            if None in exps:
+                failures.append((word, exps.index(None)))
+            else:
+                entries.append((word, elem, exps))
+        report = local_embedding(gens, radius, part)
+        assert [(e.word, e.element, e.exponents) for e in report.entries] == entries
+        assert list(report.cocycle_failures) == failures
+        assert bool(failures) == (radius >= 1 and not adapted)
 
 
 class TestAdaptedPartition:
@@ -269,8 +304,10 @@ class TestAdaptedPartition:
 
     def test_cocycles_constant_on_atoms(self, gadgets):
         part = adapted_partition(FIB, gadgets, 2, "aa")
-        for _, elem in ball_elements(gadgets, 2).representatives:
-            atom_exponents(elem, part)  # raises if not constant
+        report = local_embedding(gadgets, 2, part)
+        assert not report.cocycle_failures
+        for e in report.entries:
+            assert e.exponents == expected_atom_exponents(e.element, part)
 
     def test_identity_generators_need_no_depth(self):
         part = adapted_partition(FIB, [identity_element(FIB)], 1, "aa")
@@ -319,6 +356,14 @@ class TestLocalEmbedding:
                   if report.image_of(w2)(i) != i}
         assert moved1 and moved2 and not (moved1 & moved2)
 
+    def test_injectivity_collisions_pair_each_image_with_its_first_word(self):
+        # on towers of heights 3 and 5, T^k fixes every atom once |k| >= 5
+        t = TableElement(FIB, [(full_set(FIB), 1)])
+        report = local_embedding([t], 8, kr_partition(FIB, "aa"))
+        assert len(report.entries) == 17 and not report.passed
+        assert [(str(a), str(b)) for a, b in report.injectivity_collisions] == [
+            ("e", ch * k) for k in range(5, 9) for ch in "aA"]
+
     def test_under_refined_reported_not_bogus(self, gadgets):
         report = local_embedding(gadgets, 1, kr_partition(FIB, "a"))
         assert not report.passed
@@ -332,7 +377,8 @@ class TestLocalEmbedding:
         assert report.ball == ball.ball and report.radius == 2
         assert report.word_to_index == ball.word_to_index
         for word, i in ball.word_to_index.items():
-            assert report.image_of(word) == atom_action(ball.representatives[i][1], part)
+            exps = expected_atom_exponents(ball.representatives[i][1], part)
+            assert report.image_of(word) == fullgroup._tower_perm(exps, part)
 
     def test_json_report(self, gadgets):
         part = adapted_partition(FIB, gadgets, 1, "aa")

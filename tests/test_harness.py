@@ -1,9 +1,55 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stabilitylab
 from stabilitylab.harness import main, random_az_trivial_words, read_config
 from stabilitylab.marked import az_oracle
+
+# full-group runs and the sha256 of every file they write.  Embedding reports
+# hold no atom images, but the fullgroup-irs fingerprints are read off them
+PINNED_RUNS = {
+    **{f"embed-{name}": ["fullgroup-embed", "--substitution", name, "--radii", "1,2,3"]
+       for name in ("fibonacci", "thue-morse", "chacon")},
+    "irs-k2": ["fullgroup-irs", "--k", "2"],
+}
+PINNED_DIGESTS = {
+    "embed-fibonacci/embed_radius_1.json":
+        "41b4ea2c0bbbb89ecec15e9bde32005d1b12af00f937cbca7e8dc9cc157f08e6",
+    "embed-fibonacci/embed_radius_2.json":
+        "2af87d39a8e39641a24de2017693b6ace9e517328efc8bb8a585df43522caee9",
+    "embed-fibonacci/embed_radius_3.json":
+        "ea0b40b1e918f151a2ecc638718266484c9947e7ab4ed9acdda29e6ec3e92397",
+    "embed-fibonacci/embed_summary.csv":
+        "ee6410dc3324f0e218e3836b8e0ae20f8f7b277ae37be7c93a1fb255edf78065",
+    "embed-thue-morse/embed_radius_1.json":
+        "b5d6013fffd251266d9c0eaf15ee7642cc87dd2096b72b588eacb6b11f40c62c",
+    "embed-thue-morse/embed_radius_2.json":
+        "1195fac64b5ccba7c0786cb9ff5f8ce2f0289cc0e78a1c38511c79cd5b8b7a90",
+    "embed-thue-morse/embed_radius_3.json":
+        "0f51236d2aa50cce3666896dd8c809c0eb7df93ef28a6e7884a79c95a2a8f1e4",
+    "embed-thue-morse/embed_summary.csv":
+        "28db497cfff06382cce59528eb307c2e8612c97940f99be43c52f1c03cf334e4",
+    "embed-chacon/embed_radius_1.json":
+        "05bdda17c98fa16d146699ce59abb4be615a5fc8e9e9d91c0b160281b72d7294",
+    "embed-chacon/embed_radius_2.json":
+        "513efd6e805c9892050d3c0a6455323a7d309b2a356281aeb42fac88da829a57",
+    "embed-chacon/embed_radius_3.json":
+        "aec3318132063394c37489f8c35535bf2ace120359898a5fd6c08eee93a455e8",
+    "embed-chacon/embed_summary.csv":
+        "f6021173f419c449bbc154947f613eb9dbb55de44036d89cdb884b805768da3f",
+    "irs-k2/fullgroup_irs_aa.jsonl":
+        "31b779cdeb100bfc9af9971eaf6e4a628880140a8f74fcdbfc5edb49b630bbba",
+    "irs-k2/fullgroup_irs_ab.jsonl":
+        "0577a41aa2dc8a5dfef28ddf236b51086be8fadf1eaa53f21ef735166c1dbe16",
+    "irs-k2/fullgroup_tv.csv":
+        "6c10634e924fc2bc56cb749be57bee3c88fe346f9876b729d79c1395089cb786",
+}
 
 
 class TestTrivialWordGenerator:
@@ -67,6 +113,22 @@ class TestCLI:
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    @pytest.mark.parametrize("hash_seed", ["0", "1", "4242"])
+    def test_fullgroup_outputs_match_pinned_digests(self, hash_seed, tmp_path):
+        # string hashing is seeded per interpreter, so each seed gets its own
+        runs = [argv + ["--out", str(tmp_path / name)] for name, argv in PINNED_RUNS.items()]
+        src = str(Path(stabilitylab.__file__).parents[1])
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c",
+                        "import json, sys; from stabilitylab.harness import main; "
+                        "sys.exit(any(main(argv) for argv in json.loads(sys.argv[1])))",
+                        json.dumps(runs)], env=env, check=True)
+        digests = {path.relative_to(tmp_path).as_posix():
+                   hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in tmp_path.rglob("*") if path.is_file()}
+        assert digests == PINNED_DIGESTS
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("instances=3\nsize=4\nseed=2\n")
@@ -115,8 +177,9 @@ class TestCLI:
 
     @pytest.mark.parametrize("argv, message", [
         (["dgen", "--size", "0"], "at least one point"),
-        (["fullgroup-irs", "--levels", ","], "at least one partition level")],
-        ids=["dgen-empty-actions", "fullgroup-irs-no-levels"])
+        (["fullgroup-irs", "--levels", ","], "at least one partition level"),
+        (["vershik", "--samples", "-5"], "need n_samples >= 1, got -5")],
+        ids=["dgen-empty-actions", "fullgroup-irs-no-levels", "vershik-negative-samples"])
     def test_empty_input_exits_with_a_message(self, argv, message, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path)]) == 1
         assert message in capsys.readouterr().err

@@ -405,6 +405,13 @@ class TestVershik:
             vershik_irs([HALF, HALF], "az", radius=3, mode="sampled",
                         window=1, n_samples=10, seed=0)
 
+    @pytest.mark.parametrize("target", ["alt:2", "az"])
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_sampled_needs_a_positive_sample_count(self, target, n_samples):
+        with pytest.raises(ValueError, match=f"need n_samples >= 1, got {n_samples}"):
+            vershik_irs([HALF, HALF], target, radius=1, mode="sampled",
+                        n_samples=n_samples, seed=0)
+
     def test_az_exact_small_window(self):
         irs = vershik_irs([HALF, HALF], "az", radius=1, mode="exact", window=2)
         assert sum(irs.masses.values()) == 1
