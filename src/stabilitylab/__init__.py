@@ -25,9 +25,9 @@ from .perms import (GenTuple, Perm, alt_marking, ball_images,
                     check_almost_solution, check_separating, generate_closure,
                     hamming_distance, identity_perm, perm_from_cycles,
                     tuple_distance, word_eval)
-from .marked import (AZElement, MarkedGroupOracle, TruncatedDiagonalProduct,
-                     alt_oracle, az_oracle, convergence_table, diagonal_oracle,
-                     marked_nu, neumann_truncation, oracle_by_name, tail_defect)
+from .marked import (AZElement, DiagonalOracle, MarkedGroupOracle, alt_oracle,
+                     az_oracle, convergence_table, marked_nu, neumann_truncation,
+                     oracle_by_name, tail_defect)
 from .irs import (CylinderFingerprint, EmpiricalIRS, FiniteGSet, disjoint_union,
                   fingerprint, irs_distance, irs_of_gset, mixture, pad_gset,
                   point_mass_irs, realize_irs_as_gset, sample_irs, trivial_gset,

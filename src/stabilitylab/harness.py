@@ -78,7 +78,10 @@ def merge_config(args: argparse.Namespace, defaults: dict) -> dict:
 
 
 def _fractions(text: str) -> list[Fraction]:
-    return [Fraction(part) for part in text.split(",")]
+    try:
+        return [Fraction(part) for part in text.split(",")]
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _ints(text: str) -> list[int]:
@@ -122,6 +125,8 @@ def random_az_trivial_words(count: int, seed: int) -> list[ReducedWord]:
 # subcommands
 
 def run_alt_convergence(opts: dict) -> None:
+    if opts["r_min"] > opts["r_max"]:
+        raise ValueError(f"r_min must be <= r_max, got {opts['r_min']} > {opts['r_max']}")
     ranks = list(range(opts["r_min"], opts["r_max"] + 1))
     oracles = [oracle_by_name(f"alt:{r}") for r in ranks]
     rows = []
@@ -135,6 +140,8 @@ def run_alt_convergence(opts: dict) -> None:
 
 
 def run_neumann(opts: dict) -> None:
+    if opts["words"] < 1:
+        raise ValueError(f"words must be >= 1, got {opts['words']}")
     product = neumann_truncation(opts["offset"], opts["length"])
     target = az_oracle()
     words = random_az_trivial_words(opts["words"], opts["seed"])

@@ -3,7 +3,8 @@
 An IRS is observed only through its radius-r marginal: the distribution of
 *cylinder fingerprints* W = (stabilizer) intersected with the ball B(r) of the
 free group.  Exact distributions carry Fraction masses; sampled ones carry
-float masses with a sample count and per-fingerprint standard errors.
+float masses with a sample count, from which per-fingerprint standard errors
+are derived.
 """
 
 from __future__ import annotations
@@ -85,8 +86,7 @@ class EmpiricalIRS:
     """A probability distribution over cylinder fingerprints at one radius."""
 
     def __init__(self, radius: int, masses: dict, exact: bool,
-                 n_samples: int | None = None, stderrs: dict | None = None,
-                 sum_tolerance: float = 1e-12):
+                 n_samples: int | None = None, sum_tolerance: float = 1e-12):
         for fp in masses:
             if fp.radius != radius:
                 raise ValueError("fingerprint radius mismatch")
@@ -102,7 +102,6 @@ class EmpiricalIRS:
         self.masses = dict(masses)
         self.exact = exact
         self.n_samples = n_samples
-        self.stderrs = dict(stderrs) if stderrs else None
 
     def mass(self, fp: CylinderFingerprint):
         return self.masses.get(fp, Fraction(0) if self.exact else 0.0)
@@ -116,10 +115,7 @@ class EmpiricalIRS:
         for fp, m in self.masses.items():
             small = fp.restrict(radius)
             merged[small] = merged.get(small, Fraction(0) if self.exact else 0.0) + m
-        stderrs = None
-        if self.n_samples:
-            stderrs = {fp: _stderr(float(m), self.n_samples) for fp, m in merged.items()}
-        return EmpiricalIRS(radius, merged, self.exact, self.n_samples, stderrs,
+        return EmpiricalIRS(radius, merged, self.exact, self.n_samples,
                             sum_tolerance=math.inf if not self.exact else 1e-12)
 
     def __eq__(self, other) -> bool:
@@ -138,9 +134,8 @@ class EmpiricalIRS:
                 "W": [word_to_string(w) for w in fp.words],
                 "mass": f"{m.numerator}/{m.denominator}" if self.exact else float(m),
             }
-            if self.stderrs is not None:
-                entry["stderr"] = self.stderrs.get(fp, 0.0)
             if self.n_samples is not None:
+                entry["stderr"] = _stderr(float(m), self.n_samples)
                 entry["n_samples"] = self.n_samples
             lines.append(json.dumps(entry))
         return "\n".join(lines) + "\n"
@@ -148,7 +143,6 @@ class EmpiricalIRS:
     @classmethod
     def from_json_lines(cls, text: str, rank: int = 2) -> "EmpiricalIRS":
         masses: dict = {}
-        stderrs: dict = {}
         radius = None
         n_samples = None
         exact = True
@@ -166,13 +160,10 @@ class EmpiricalIRS:
             else:
                 masses[fp] = float(mass)
                 exact = False
-            if "stderr" in entry:
-                stderrs[fp] = entry["stderr"]
             n_samples = entry.get("n_samples", n_samples)
         if radius is None:
             raise ValueError("no fingerprints in input")
-        return cls(radius, masses, exact, n_samples, stderrs or None,
-                   sum_tolerance=math.inf)
+        return cls(radius, masses, exact, n_samples, sum_tolerance=math.inf)
 
 
 def _stderr(p: float, n: int) -> float:
@@ -274,12 +265,6 @@ def fingerprint_masses(ball: Ball, blocks) -> dict:
     return masses
 
 
-def _check_ball(ball: Ball, rank: int, radius: int) -> None:
-    if ball.rank != rank or ball.radius != radius:
-        raise ValueError(f"ball of rank {ball.rank} and radius {ball.radius} "
-                         f"does not match rank {rank} and radius {radius}")
-
-
 def fingerprint(action: GenTuple, x: int, ball: Ball) -> CylinderFingerprint:
     """Stabilizer fingerprint of one point: the ball words fixing it."""
     if not 0 <= x < action.degree:
@@ -289,11 +274,9 @@ def fingerprint(action: GenTuple, x: int, ball: Ball) -> CylinderFingerprint:
     return fp
 
 
-def irs_of_gset(gset: FiniteGSet, radius: int, ball: Ball | None = None) -> EmpiricalIRS:
+def irs_of_gset(gset: FiniteGSet, radius: int) -> EmpiricalIRS:
     """Exact stabilizer-fingerprint distribution of the uniform point measure."""
-    if ball is None:
-        ball = enumerate_ball(gset.rank, radius)
-    _check_ball(ball, gset.rank, radius)
+    ball = enumerate_ball(gset.rank, radius)
     fixed = ball_images(gset.action, ball) == np.arange(gset.size)
     counts = fingerprint_masses(ball, [(fixed.T, [1] * gset.size)])
     masses = {fp: Fraction(count, gset.size) for fp, count in counts.items()}
@@ -335,13 +318,9 @@ def pad_gset(gset: FiniteGSet, target_size: int) -> FiniteGSet:
     return disjoint_union(*parts)
 
 
-def point_mass_irs(rank: int, radius: int, full: bool,
-                   ball: Ball | None = None) -> EmpiricalIRS:
+def point_mass_irs(rank: int, radius: int, full: bool) -> EmpiricalIRS:
     """Point mass on the whole group (full ball) or on the trivial subgroup."""
-    if ball is None:
-        ball = enumerate_ball(rank, radius)
-    _check_ball(ball, rank, radius)
-    words = ball.words if full else (identity(rank),)
+    words = enumerate_ball(rank, radius).words if full else (identity(rank),)
     fp = CylinderFingerprint.from_words(radius, words)
     return EmpiricalIRS(radius, {fp: Fraction(1)}, exact=True)
 
@@ -467,9 +446,7 @@ def _sampled_irs(ball: Ball, rows) -> EmpiricalIRS:
     n_samples = len(rows)
     counts = fingerprint_masses(ball, [(rows, [1] * n_samples)])
     masses = {fp: count / n_samples for fp, count in counts.items()}
-    stderrs = {fp: _stderr(m, n_samples) for fp, m in masses.items()}
-    return EmpiricalIRS(ball.radius, masses, exact=False,
-                        n_samples=n_samples, stderrs=stderrs,
+    return EmpiricalIRS(ball.radius, masses, exact=False, n_samples=n_samples,
                         sum_tolerance=1e-9)
 
 

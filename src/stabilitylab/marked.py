@@ -271,9 +271,13 @@ class AZOracle(MarkedGroupOracle):
 
 
 class DiagonalOracle(MarkedGroupOracle):
-    """Coordinatewise evaluation in a finite list of marked finite factors."""
+    """Finitely many marked finite factors with the diagonal marking.
 
-    def __init__(self, factors, name: str = "diagonal"):
+    Stands in for an infinite diagonal product; the factor list is the
+    truncation and evaluation is coordinatewise.
+    """
+
+    def __init__(self, factors):
         factors = tuple(factors)
         if not factors:
             raise ValueError("need at least one factor")
@@ -282,7 +286,7 @@ class DiagonalOracle(MarkedGroupOracle):
             raise ValueError("factors must share a rank")
         self.factors = factors
         self.rank = rank
-        self.name = name
+        self.name = f"diagonal[{len(factors)}]"
 
     def evaluate(self, word) -> tuple[Perm, ...]:
         return tuple(word_eval(word, f) for f in self.factors)
@@ -302,22 +306,18 @@ def alt_oracle(r: int) -> AltOracle:
     return AltOracle(r)
 
 
-def diagonal_oracle(factors, name: str = "diagonal") -> DiagonalOracle:
-    return DiagonalOracle(factors, name)
-
-
 def oracle_by_name(text: str) -> MarkedGroupOracle:
     """CLI names: ``az``, ``alt:R``, ``neumann:OFFSET:LENGTH``, ``trivial``, ``free``."""
-    parts = text.split(":")
-    if parts[0] == "az":
+    name, *fields = text.split(":")
+    if name == "az" and not fields:
         return az_oracle()
-    if parts[0] == "alt" and len(parts) == 2:
-        return alt_oracle(int(parts[1]))
-    if parts[0] == "neumann" and len(parts) == 3:
-        return neumann_truncation(int(parts[1]), int(parts[2])).oracle()
-    if parts[0] == "trivial":
+    if name == "alt" and len(fields) == 1:
+        return alt_oracle(int(fields[0]))
+    if name == "neumann" and len(fields) == 2:
+        return neumann_truncation(int(fields[0]), int(fields[1]))
+    if name == "trivial" and not fields:
         return TrivialOracle()
-    if parts[0] == "free":
+    if name == "free" and not fields:
         return FreeOracle()
     raise ValueError(f"unknown oracle name {text!r}")
 
@@ -386,48 +386,15 @@ def convergence_table(oracles, target: MarkedGroupOracle,
 # ---------------------------------------------------------------------------
 # diagonal products and the tail homomorphism
 
-@dataclass(frozen=True)
-class TruncatedDiagonalProduct:
-    """Finitely many marked finite factors with the diagonal marking.
-
-    Stands in for an infinite diagonal product; the factor list is the
-    truncation and evaluation is coordinatewise.
-    """
-
-    factors: tuple[GenTuple, ...]
-
-    def __post_init__(self):
-        if not self.factors:
-            raise ValueError("need at least one factor")
-        rank = self.factors[0].rank
-        if any(f.rank != rank for f in self.factors):
-            raise ValueError("factors must share a rank")
-
-    @property
-    def rank(self) -> int:
-        return self.factors[0].rank
-
-    def marking(self) -> tuple[tuple[Perm, ...], ...]:
-        """The diagonal tuple: coordinate i collects generator i of every factor."""
-        return tuple(tuple(f.perms[i] for f in self.factors)
-                     for i in range(self.rank))
-
-    def oracle(self, name: str | None = None) -> DiagonalOracle:
-        return DiagonalOracle(self.factors, name or f"diagonal[{len(self.factors)}]")
-
-
-def neumann_truncation(offset: int, length: int) -> TruncatedDiagonalProduct:
+def neumann_truncation(offset: int, length: int) -> DiagonalOracle:
     """Truncated diagonal product of alternating factors with shifted rates.
 
     Factor m (for m < length) is the alternating group at rate m + 2, shifted
     by the offset: ``alt_marking(m + offset + 2)``.
     """
-    if length < 1:
-        raise ValueError("need at least one factor")
     if offset < 0:
         raise ValueError("offset must be >= 0")
-    return TruncatedDiagonalProduct(
-        tuple(alt_marking(m + offset + 2) for m in range(length)))
+    return DiagonalOracle(alt_marking(m + offset + 2) for m in range(length))
 
 
 @dataclass(frozen=True)
@@ -437,7 +404,7 @@ class TailDefectReport:
     defect: tuple[int, ...]  # factor indices where the word is nontrivial
 
 
-def tail_defect(word: ReducedWord, product: TruncatedDiagonalProduct,
+def tail_defect(word: ReducedWord, product: DiagonalOracle,
                 target: MarkedGroupOracle) -> TailDefectReport:
     """Factor indices of a truncated diagonal product where a word survives.
 
@@ -448,6 +415,6 @@ def tail_defect(word: ReducedWord, product: TruncatedDiagonalProduct,
     if word.rank != product.rank or word.rank != target.rank:
         raise ValueError("rank mismatch")
     trivial = target.word_is_identity(word)
-    defect = tuple(i for i, f in enumerate(product.factors)
-                   if not word_eval(word, f).is_identity)
+    defect = tuple(i for i, p in enumerate(product.evaluate(word))
+                   if not p.is_identity)
     return TailDefectReport(word, trivial, defect)

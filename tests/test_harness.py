@@ -11,12 +11,18 @@ import stabilitylab
 from stabilitylab.harness import main, random_az_trivial_words, read_config
 from stabilitylab.marked import az_oracle
 
-# full-group runs and the sha256 of every file they write.  Embedding reports
-# hold no atom images, but the fullgroup-irs fingerprints are read off them
+# CLI runs and the sha256 of every file they write.  Embedding reports hold
+# no atom images, but the fullgroup-irs fingerprints are read off them; the
+# vershik files carry each fingerprint's standard error
 PINNED_RUNS = {
     **{f"embed-{name}": ["fullgroup-embed", "--substitution", name, "--radii", "1,2,3"]
        for name in ("fibonacci", "thue-morse", "chacon")},
     "irs-k2": ["fullgroup-irs", "--k", "2"],
+    "neumann": ["neumann"],
+    "neumann-scaled": ["neumann", "--offset", "2", "--length", "4", "--words", "30",
+                       "--seed", "3"],
+    "alt-convergence": ["alt-convergence"],
+    "vershik": ["vershik", "--samples", "2000"],
 }
 PINNED_DIGESTS = {
     "embed-fibonacci/embed_radius_1.json":
@@ -49,6 +55,22 @@ PINNED_DIGESTS = {
         "0577a41aa2dc8a5dfef28ddf236b51086be8fadf1eaa53f21ef735166c1dbe16",
     "irs-k2/fullgroup_tv.csv":
         "6c10634e924fc2bc56cb749be57bee3c88fe346f9876b729d79c1395089cb786",
+    "neumann/neumann_tail_defects.csv":
+        "f614262a448aa20e405f994b3ce2c86947e21a06b7b1dfa5d8657db6659bfcfd",
+    "neumann-scaled/neumann_tail_defects.csv":
+        "fa951f7d39f3789dfdfeef369cb849af1d1dafe79792a588a2e0104831a45b82",
+    "alt-convergence/alt_convergence.csv":
+        "338aed39a955b2ecc8260429e17226ec029ab8a465fe0b748528f1fe2d073d39",
+    "vershik/vershik_alt_20.jsonl":
+        "18ed7ddfba6c3a649d1656e3b01be0e252f7a2f51aa473a63ba4931eb193dd0e",
+    "vershik/vershik_alt_40.jsonl":
+        "49c5e7e12195e2098e8ce2cde9be7a6660f4749eb2d4a082d146dd008ea80369",
+    "vershik/vershik_alt_80.jsonl":
+        "12b58f2dabb5cf067d7e4c7d53fb3329e8bf1eb97eb9b98d21ff18236a8e0dbe",
+    "vershik/vershik_tv.csv":
+        "225d5e6273348aa1237b592ec540d7a7ef016d14c7b5b290b86b1f0dcc6e549e",
+    "vershik/vershik_window_limit.jsonl":
+        "1119f388526cfc2da62aa065eb30776c9826e2f4e4fe50463c37dfc1ad6334c1",
 }
 
 
@@ -178,21 +200,28 @@ class TestCLI:
     @pytest.mark.parametrize("argv, message", [
         (["dgen", "--size", "0"], "at least one point"),
         (["fullgroup-irs", "--levels", ","], "at least one partition level"),
-        (["vershik", "--samples", "-5"], "need n_samples >= 1, got -5")],
-        ids=["dgen-empty-actions", "fullgroup-irs-no-levels", "vershik-negative-samples"])
+        (["vershik", "--samples", "-5"], "need n_samples >= 1, got -5"),
+        (["vershik", "--alpha", "1/0,1"], "error in vershik: zero denominator in '1/0,1'")],
+        ids=["dgen-empty-actions", "fullgroup-irs-no-levels", "vershik-negative-samples",
+             "vershik-zero-denominator"])
     def test_empty_input_exits_with_a_message(self, argv, message, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path)]) == 1
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, message", [
-        (["--restarts", "-3"], "restarts must be >= 1, got -3"),
-        (["--restarts", "0"], "restarts must be >= 1, got 0"),
-        (["--instances", "0"], "instances must be >= 1, got 0")],
-        ids=["negative-restarts", "no-restarts", "no-instances"])
+        (["dgen", "--restarts", "-3"], "restarts must be >= 1, got -3"),
+        (["dgen", "--restarts", "0"], "restarts must be >= 1, got 0"),
+        (["dgen", "--instances", "0"], "instances must be >= 1, got 0"),
+        (["neumann", "--words", "-3"], "words must be >= 1, got -3"),
+        (["alt-convergence", "--r-min", "5", "--r-max", "3"],
+         "r_min must be <= r_max, got 5 > 3")],
+        ids=["negative-restarts", "no-restarts", "no-instances", "neumann-negative-words",
+             "alt-convergence-empty-range"])
     def test_dgen_rejects_bad_counts(self, argv, message, tmp_path, capsys):
-        assert main(["dgen", *argv, "--out", str(tmp_path)]) == 1
-        assert f"error in dgen: {message}" in capsys.readouterr().err
-        assert not (tmp_path / "dgen.csv").exists()
+        # a rejected count writes no file
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        assert f"error in {argv[0]}: {message}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_module_error_returns_nonzero(self, tmp_path, capsys):
         code = main(["subshift-kr", "--seeds", "bb", "--out", str(tmp_path)])

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -136,16 +137,6 @@ class TestIrsOfGSet:
         assert irs.mass(full.support()[0]) == Fraction(2, 5)
         triv = point_mass_irs(2, 1, full=False)
         assert irs.mass(triv.support()[0]) == Fraction(3, 5)
-
-    def test_ball_must_match_radius_and_rank(self):
-        with pytest.raises(ValueError, match="does not match"):
-            irs_of_gset(trivial_gset(2, 3), 3, ball=enumerate_ball(2, 1))
-        with pytest.raises(ValueError, match="does not match"):
-            irs_of_gset(trivial_gset(2, 3), 1, ball=enumerate_ball(3, 1))
-        with pytest.raises(ValueError, match="does not match"):
-            point_mass_irs(2, 3, full=True, ball=enumerate_ball(2, 1))
-        with pytest.raises(ValueError, match="does not match"):
-            point_mass_irs(2, 1, full=False, ball=enumerate_ball(3, 1))
 
     def test_masses_sum_exactly_to_one(self):
         rng = random.Random(1)
@@ -504,4 +495,14 @@ class TestSerialization:
         for line in irs.to_json_lines().splitlines():
             entry = json.loads(line)
             assert entry["n_samples"] == 500
-            assert "stderr" in entry
+            p = entry["mass"]
+            assert entry["stderr"] == math.sqrt(p * (1 - p) / 500)
+
+    def test_sampled_json_lines_round_trip_byte_for_byte(self):
+        irs = vershik_irs([HALF, HALF], "alt:2", radius=2, mode="sampled",
+                          n_samples=300, seed=4)
+        text = irs.to_json_lines()
+        assert EmpiricalIRS.from_json_lines(text).to_json_lines() == text
+        small = irs.restrict(1)
+        assert (EmpiricalIRS.from_json_lines(small.to_json_lines()).to_json_lines()
+                == small.to_json_lines())

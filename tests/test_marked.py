@@ -3,11 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabilitylab import words
-from stabilitylab.marked import (AZ_IDENTITY, MarkedGroupOracle, TrivialOracle,
-                                 TruncatedDiagonalProduct, alt_oracle, az_from_cycles,
-                                 az_oracle, az_shift, convergence_table, marked_nu,
-                                 neumann_truncation, oracle_by_name, tail_defect)
-from stabilitylab.perms import alt_marking
+from stabilitylab.marked import (AZ_IDENTITY, DiagonalOracle, FreeOracle,
+                                 MarkedGroupOracle, TrivialOracle, alt_oracle,
+                                 az_from_cycles, az_oracle, az_shift, convergence_table,
+                                 marked_nu, neumann_truncation, oracle_by_name,
+                                 tail_defect)
+from stabilitylab.perms import GenTuple, alt_marking
 from stabilitylab.words import (ResourceLimitError, ball_size, enumerate_ball,
                                 identity, kernel_fingerprint, reduce,
                                 word_from_string)
@@ -174,13 +175,13 @@ class TestKernelMask:
 
     def test_neumann_truncation(self):
         ball = enumerate_ball(2, 6)
-        oracle = neumann_truncation(0, 4).oracle()
+        oracle = neumann_truncation(0, 4)
         mask = oracle.kernel_mask(ball)
         assert (mask == MarkedGroupOracle.kernel_mask(oracle, ball)).all()
         assert mask.sum() > 1  # the factors share kernel words beyond e
 
     def test_rank_mismatch(self):
-        for oracle in (alt_oracle(2), az_oracle(), neumann_truncation(0, 2).oracle()):
+        for oracle in (alt_oracle(2), az_oracle(), neumann_truncation(0, 2)):
             with pytest.raises(ValueError):
                 oracle.kernel_mask(enumerate_ball(3, 1))
 
@@ -192,8 +193,7 @@ class TestDiagonal:
         assert rep.trivial_in_target and rep.defect == ()
 
     def test_a5_defect_excludes_first_factor(self):
-        product = TruncatedDiagonalProduct(
-            (alt_marking(2), alt_marking(3), alt_marking(4)))
+        product = DiagonalOracle((alt_marking(2), alt_marking(3), alt_marking(4)))
         rep = tail_defect(w("a") ** 5, product, az_oracle())
         assert not rep.trivial_in_target
         assert rep.defect == (1, 2)
@@ -203,15 +203,13 @@ class TestDiagonal:
         rep = tail_defect(w("bbb"), product, az_oracle())
         assert rep.trivial_in_target and rep.defect == ()
 
-    def test_marking_projects_to_factors(self):
-        product = neumann_truncation(1, 3)
-        marking = product.marking()
-        for m, factor in enumerate(product.factors):
-            assert tuple(marking[i][m] for i in range(product.rank)) == factor.perms
+    def test_factors_must_share_a_rank(self):
+        with pytest.raises(ValueError, match="share a rank"):
+            DiagonalOracle([alt_marking(3), GenTuple(alt_marking(3).perms[:1])])
 
     def test_truncation_length_one_is_alt(self):
         product = neumann_truncation(1, 1)
-        k_prod = kernel_fingerprint(product.oracle(), 5)
+        k_prod = kernel_fingerprint(product, 5)
         k_alt = kernel_fingerprint(alt_oracle(3), 5)
         assert k_prod.members == k_alt.members
 
@@ -224,8 +222,8 @@ class TestDiagonal:
         # the whole radius-6 ball, so nu saturates (and is thus nondecreasing)
         values = []
         for n in range(3):
-            a = neumann_truncation(n, 2).oracle()
-            b = neumann_truncation(n + 1, 2).oracle()
+            a = neumann_truncation(n, 2)
+            b = neumann_truncation(n + 1, 2)
             values.append(marked_nu(a, b, 6))
         assert all(v.saturated for v in values)
         assert [v.value for v in values] == sorted(v.value for v in values)
@@ -236,5 +234,11 @@ class TestOracleNames:
         assert oracle_by_name("az").name == "az"
         assert oracle_by_name("alt:4").name == "alt:4"
         assert oracle_by_name("neumann:1:3").rank == 2
-        with pytest.raises(ValueError):
-            oracle_by_name("nope:1")
+        assert oracle_by_name("neumann:1:3").name == "diagonal[3]"
+        assert isinstance(oracle_by_name("trivial"), TrivialOracle)
+        assert isinstance(oracle_by_name("free"), FreeOracle)
+        # every name takes exactly its own number of fields
+        for text in ("nope:1", "az:3", "free:x", "trivial:7", "alt", "alt:4:1",
+                     "neumann:1", "neumann:1:3:5"):
+            with pytest.raises(ValueError, match="unknown oracle name"):
+                oracle_by_name(text)
