@@ -472,6 +472,13 @@ def fullgroup_irs(partition: KRPartition, generators, k: int, radius: int,
     atom masses (each atom weighs as much as its tower base).  A passed
     ``embedding`` must be the report for these generators on this partition
     at this radius.
+
+    The masses are summed by atom class, in tuple order.  Atoms with equal
+    fixation rows form a class, and a tuple's fingerprint depends only on its
+    tuple of classes, so each class tuple is looked up once.  Then, one block
+    per first atom, the tuples' weights are built coordinate by coordinate in
+    ``itertools.product`` order and added into their fingerprint's sum in that
+    order: every float mass equals the tuple-by-tuple left-to-right sum.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -486,17 +493,31 @@ def fullgroup_irs(partition: KRPartition, generators, k: int, radius: int,
     if not report.passed:
         raise ValueError(report.recommendation)
     ball, fixed, atom_mass = _atom_fixation(partition, radius, measure, report)
+    # classes numbered by first occurrence: class tuples in product order meet
+    # each fingerprint first where the atom tuples do
+    first: dict = {}
+    cls = np.array([first.setdefault(row.tobytes(), len(first)) for row in fixed])
+    class_rows = fixed[np.unique(cls, return_index=True)[1]]
+    slot: dict = {}
+    slots = []  # per first class: the fingerprint slot of each class tuple
+    for row in class_rows:
+        for _ in range(k - 1):
+            row = row[..., None, :] & class_rows
+        tuple_rows = np.ascontiguousarray(row.reshape(-1, len(ball)))
+        keys = tuple_rows.view(np.dtype((np.void, len(ball)))).ravel().tolist()
+        slots.append([slot.setdefault(key, len(slot)) for key in keys])
+    slot_of = np.array(slots).reshape((len(class_rows),) * k)
 
-    def blocks():
-        # one block per choice of the first k-1 atoms, in itertools.product order
-        for prefix in itertools.product(range(len(atom_mass)), repeat=k - 1):
-            mass = 1.0
-            for idx in prefix:
-                mass *= atom_mass[idx]
-            rows = fixed & fixed[list(prefix)].all(axis=0)
-            yield rows, [mass * m for m in atom_mass]
-
-    masses = fingerprint_masses(ball, blocks())
+    mass = np.array(atom_mass, dtype=float)
+    rest = np.ix_(*[cls] * (k - 1))
+    sums = np.zeros(len(slot))
+    for i in range(len(mass)):  # tuples (i, ...) in product order
+        weights = mass[i]
+        for _ in range(k - 1):
+            weights = np.multiply.outer(weights, mass)
+        np.add.at(sums, np.ravel(slot_of[cls[i]][rest]), np.ravel(weights))
+    rows = np.frombuffer(b"".join(slot), bool).reshape(len(slot), len(ball))
+    masses = fingerprint_masses(ball, [(rows, sums.tolist())])
     slack = k * len(atom_mass) * measure.tolerance + 1e-9
     return EmpiricalIRS(radius, masses, exact=False, sum_tolerance=slack)
 

@@ -157,22 +157,21 @@ def run_neumann(opts: dict) -> None:
 
 
 def run_vershik(opts: dict) -> None:
-    alpha = _fractions(opts["alpha"])
+    alpha, ns = _fractions(opts["alpha"]), _ints(opts["ns"])
+    # every sample is drawn, and so every option checked, before a file is written
     limit = vershik_irs(alpha, "az", radius=opts["radius"], mode="sampled",
                         window=opts["window"], n_samples=opts["samples"],
                         seed=opts["seed"])
+    finite = [vershik_irs(alpha, f"alt:{n}", radius=opts["radius"], mode="sampled",
+                          n_samples=opts["samples"], seed=opts["seed"] + 1 + i)
+              for i, n in enumerate(ns)]
+    rows = [[n, float(irs_distance(irs, limit)), tv_standard_error(irs, limit),
+             opts["samples"]] for n, irs in zip(ns, finite)]
     atomic_write(os.path.join(opts["out"], "vershik_window_limit.jsonl"),
                  limit.to_json_lines())
-    rows = []
-    for i, n in enumerate(_ints(opts["ns"])):
-        finite = vershik_irs(alpha, f"alt:{n}", radius=opts["radius"],
-                             mode="sampled", n_samples=opts["samples"],
-                             seed=opts["seed"] + 1 + i)
+    for n, irs in zip(ns, finite):
         atomic_write(os.path.join(opts["out"], f"vershik_alt_{n}.jsonl"),
-                     finite.to_json_lines())
-        tv = irs_distance(finite, limit)
-        rows.append([n, float(tv), tv_standard_error(finite, limit),
-                     opts["samples"]])
+                     irs.to_json_lines())
     write_csv(os.path.join(opts["out"], "vershik_tv.csv"),
               f"experiment: coloring-stabilizer distributions vs the window limit; "
               f"alpha={opts['alpha']} radius={opts['radius']} seed={opts['seed']}",
@@ -181,15 +180,20 @@ def run_vershik(opts: dict) -> None:
 
 def run_subshift_kr(opts: dict) -> None:
     sub = substitution_by_name(opts["substitution"])
+    seed_words = _names(opts["seeds"])
+    if not seed_words:
+        raise ValueError(f"need at least one seed word, got {opts['seeds']!r}")
+    # every partition is built and measured before a file is written
+    parts = [kr_partition(sub, seed_word) for seed_word in seed_words]
     measure = ErgodicMeasure(sub)
     rows = []
-    for seed_word in _names(opts["seeds"]):
-        part = kr_partition(sub, seed_word)
-        atomic_write(os.path.join(opts["out"], f"kr_{seed_word}.json"),
-                     partition_to_json(part))
+    for seed_word, part in zip(seed_words, parts):
         mass = sum(t.height * measure.measure(t.base) for t in part.towers)
         rows.append([seed_word, len(part.towers), len(part.atoms()),
                      part.min_height, abs(mass - 1.0), 1])
+    for seed_word, part in zip(seed_words, parts):
+        atomic_write(os.path.join(opts["out"], f"kr_{seed_word}.json"),
+                     partition_to_json(part))
     write_csv(os.path.join(opts["out"], "kr_checks.csv"),
               f"experiment: tower partitions of {opts['substitution']}; "
               f"tolerance={measure.tolerance}",

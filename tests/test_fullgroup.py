@@ -448,16 +448,19 @@ class TestFullgroupIRS:
         for fp in irs.support():
             fp.validate()
 
-    @pytest.mark.parametrize("radius,k", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)])
+    # (3, 3) is the benchmark's full-group configuration
+    @pytest.mark.parametrize("radius,k", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1),
+                                          (2, 2), (3, 3)])
     def test_nonabelian_ball_matches_tuple_enumeration(self, measure, radius, k):
         gens = _nonabelian()
         assert gens[0] * gens[1] != gens[1] * gens[0]
         part = adapted_partition(FIB, gens, radius, "abaab")
-        if radius == 1:
-            assert len(part.atoms()) == 21
+        assert len(part.atoms()) == {1: 21, 2: 55, 3: 55}[radius]
         report = local_embedding(gens, radius, part)
         irs = fullgroup_irs(part, gens, k, radius, measure, embedding=report)
-        assert irs.masses == expected_fullgroup_irs(part, report, k, radius, measure)
+        expected = expected_fullgroup_irs(part, report, k, radius, measure)
+        assert irs.masses == expected
+        assert list(irs.masses) == list(expected)  # insertion order too
 
     def test_one_shot_generators(self, gadgets, measure):
         part = adapted_partition(FIB, gadgets, 1, "aa")

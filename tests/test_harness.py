@@ -18,6 +18,7 @@ PINNED_RUNS = {
     **{f"embed-{name}": ["fullgroup-embed", "--substitution", name, "--radii", "1,2,3"]
        for name in ("fibonacci", "thue-morse", "chacon")},
     "irs-k2": ["fullgroup-irs", "--k", "2"],
+    "irs-k4": ["fullgroup-irs", "--k", "4", "--radius", "1"],
     "neumann": ["neumann"],
     "neumann-scaled": ["neumann", "--offset", "2", "--length", "4", "--words", "30",
                        "--seed", "3"],
@@ -55,6 +56,12 @@ PINNED_DIGESTS = {
         "0577a41aa2dc8a5dfef28ddf236b51086be8fadf1eaa53f21ef735166c1dbe16",
     "irs-k2/fullgroup_tv.csv":
         "6c10634e924fc2bc56cb749be57bee3c88fe346f9876b729d79c1395089cb786",
+    "irs-k4/fullgroup_irs_aa.jsonl":
+        "12a0e40ec2dc9f8c5eeea205c3c21182be95768869d235d6068260ddd6f742d9",
+    "irs-k4/fullgroup_irs_ab.jsonl":
+        "394a6a01c766452a385c65af27e1e27a92a8cca0c651e18cd655efc512e4f86b",
+    "irs-k4/fullgroup_tv.csv":
+        "6e6585cfda7723828b77d2aa10761b0d9a9c2b603a759b22d8ade3d4fbb33f63",
     "neumann/neumann_tail_defects.csv":
         "f614262a448aa20e405f994b3ce2c86947e21a06b7b1dfa5d8657db6659bfcfd",
     "neumann-scaled/neumann_tail_defects.csv":
@@ -214,9 +221,15 @@ class TestCLI:
         (["dgen", "--instances", "0"], "instances must be >= 1, got 0"),
         (["neumann", "--words", "-3"], "words must be >= 1, got -3"),
         (["alt-convergence", "--r-min", "5", "--r-max", "3"],
-         "r_min must be <= r_max, got 5 > 3")],
+         "r_min must be <= r_max, got 5 > 3"),
+        (["subshift-kr", "--seeds", ","], "need at least one seed word, got ','"),
+        (["subshift-kr", "--seeds", "a,bb"], "word 'bb' is not admissible"),
+        (["vershik", "--ns", "0", "--samples", "10"], "need n >= 1"),
+        (["vershik", "--ns", "20,0", "--samples", "10"], "need n >= 1")],
         ids=["negative-restarts", "no-restarts", "no-instances", "neumann-negative-words",
-             "alt-convergence-empty-range"])
+             "alt-convergence-empty-range", "subshift-kr-no-seeds",
+             "subshift-kr-inadmissible-second-seed", "vershik-zero-n",
+             "vershik-zero-n-after-valid"])
     def test_dgen_rejects_bad_counts(self, argv, message, tmp_path, capsys):
         # a rejected count writes no file
         assert main(argv + ["--out", str(tmp_path)]) == 1
