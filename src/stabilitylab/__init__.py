@@ -30,10 +30,9 @@ from .marked import (AZElement, DiagonalOracle, MarkedGroupOracle, alt_oracle,
                      oracle_by_name, tail_defect)
 from .irs import (CylinderFingerprint, EmpiricalIRS, FiniteGSet, disjoint_union,
                   fingerprint, irs_distance, irs_of_gset, mixture, pad_gset,
-                  point_mass_irs, realize_irs_as_gset, sample_irs, trivial_gset,
-                  vershik_irs)
-from .challenges import (FSetPair, challenge_defect, d_gen_bound, d_gen_exact,
-                         gen_norm, is_m_good)
+                  point_mass_irs, realize_irs_as_gset, trivial_gset, vershik_irs)
+from .challenges import (challenge_defect, d_gen_bound, d_gen_exact, gen_norm,
+                         is_m_good)
 from .subshift import (ClopenSet, ErgodicMeasure, KRPartition, Substitution,
                        chacon, cylinder, fibonacci, full_set, kr_partition,
                        refine_kr, return_words, substitution_by_name, thue_morse)

@@ -15,7 +15,6 @@ s⁻¹(q)}, so a trial costs O(rank) instead of a recount of all |X|·rank terms
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,23 +22,11 @@ from fractions import Fraction
 import numpy as np
 
 from .irs import FiniteGSet
-from .perms import GenTuple, Perm, ball_images, moved_fractions
+from .perms import ball_images, moved_fractions
 from .words import (InvariantError, ReducedWord, ResourceLimitError, WordSet,
                     enumerate_ball)
 
 _EXACT_CAP = 8           # points of the actions d_gen_exact searches exhaustively
-
-
-@dataclass(frozen=True)
-class FSetPair:
-    x: FiniteGSet
-    y: FiniteGSet
-
-    def __post_init__(self):
-        if self.x.size != self.y.size:
-            raise ValueError("the two actions must have the same size")
-        if self.x.rank != self.y.rank:
-            raise ValueError("the two actions must share a rank")
 
 
 def _check_bijection(f, size: int) -> tuple[int, ...]:
@@ -51,7 +38,10 @@ def _check_bijection(f, size: int) -> tuple[int, ...]:
 
 def _pair_images(x: FiniteGSet, y: FiniteGSet):
     """Validate the pair once; its size, rank and generator image tuples."""
-    FSetPair(x, y)
+    if x.size != y.size:
+        raise ValueError("the two actions must have the same size")
+    if x.rank != y.rank:
+        raise ValueError("the two actions must share a rank")
     return (x.size, x.rank, [s.images for s in x.action.perms],
             [s.images for s in y.action.perms])
 
@@ -195,21 +185,3 @@ def is_m_good(x: FiniteGSet, y: FiniteGSet, kernel: WordSet, m: int,
         if frac != 0)
     return MGoodReport(m, bound, bound_ok, violations,
                        bound_ok and not violations)
-
-
-def pair_to_json(pair: FSetPair) -> str:
-    return json.dumps({
-        "size": pair.x.size,
-        "x": [list(p.images) for p in pair.x.action.perms],
-        "y": [list(p.images) for p in pair.y.action.perms],
-    })
-
-
-def pair_from_json(text: str) -> FSetPair:
-    data = json.loads(text)
-    x = FiniteGSet(GenTuple(tuple(Perm(tuple(im)) for im in data["x"])))
-    y = FiniteGSet(GenTuple(tuple(Perm(tuple(im)) for im in data["y"])))
-    pair = FSetPair(x, y)
-    if pair.x.size != data["size"]:
-        raise ValueError("size field disagrees with the generator degrees")
-    return pair

@@ -597,10 +597,3 @@ def _first_coordinate_marginal(partition, k, radius, measure, report) -> Empiric
         ball, [(fixed, [m * total ** (k - 1) for m in atom_mass])])
     slack = k * len(atom_mass) * measure.tolerance + 1e-9
     return EmpiricalIRS(radius, masses, exact=False, sum_tolerance=slack)
-
-
-def element_to_json(g: TableElement) -> str:
-    return json.dumps({
-        "parts": [{"exponent": a, "resolution": c.resolution,
-                   "members": sorted(c.members)} for c, a in g.parts]
-    }, indent=1)

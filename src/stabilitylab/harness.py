@@ -204,13 +204,16 @@ def run_subshift_kr(opts: dict) -> None:
 def run_fullgroup_embed(opts: dict) -> None:
     sub = substitution_by_name(opts["substitution"])
     gadgets = tower_gadgets(sub, opts["gadget_seed"], opts["gadgets"])
-    rows = []
+    # every radius's report is built before a file is written
+    reports = []
     for radius in _ints(opts["radii"]):
         part = adapted_partition(sub, gadgets, radius, opts["gadget_seed"])
-        report = local_embedding(gadgets, radius, part)
-        atomic_write(os.path.join(opts["out"], f"embed_radius_{radius}.json"),
+        reports.append(local_embedding(gadgets, radius, part))
+    rows = []
+    for report in reports:
+        atomic_write(os.path.join(opts["out"], f"embed_radius_{report.radius}.json"),
                      report.to_json())
-        rows.append([radius, report.atom_count, len(report.entries),
+        rows.append([report.radius, report.atom_count, len(report.entries),
                      int(report.passed)])
     write_csv(os.path.join(opts["out"], "embed_summary.csv"),
               f"experiment: finite atom actions of full-group balls on "

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -224,20 +223,6 @@ def relabel(gset: FiniteGSet, rho: Perm) -> FiniteGSet:
     return FiniteGSet(GenTuple(tuple(rho * p * rho_inv for p in gset.action.perms)))
 
 
-def gset_to_json(gset: FiniteGSet) -> str:
-    return json.dumps({"size": gset.size,
-                       "generators": [list(p.images) for p in gset.action.perms]})
-
-
-def gset_from_json(text: str) -> FiniteGSet:
-    data = json.loads(text)
-    perms = tuple(Perm(tuple(images)) for images in data["generators"])
-    gset = FiniteGSet(GenTuple(perms))
-    if gset.size != data["size"]:
-        raise ValueError("size field disagrees with generator degrees")
-    return gset
-
-
 def fingerprint_masses(ball: Ball, blocks) -> dict:
     """Summed weight of each fingerprint over blocks of fixation rows.
 
@@ -417,28 +402,6 @@ def tv_standard_error(mu: EmpiricalIRS, nu: EmpiricalIRS) -> float:
         if nu.n_samples:
             var += _stderr(float(nu.mass(fp)), nu.n_samples) ** 2
     return math.sqrt(var) / 2
-
-
-def sample_irs(point_sampler, fixes, ball: Ball, n_samples: int,
-               seed: int) -> EmpiricalIRS:
-    """Empirical fingerprint distribution over independent point samples.
-
-    ``point_sampler(rng)`` draws an abstract point; ``fixes(word, point)``
-    decides fixation.  Deterministic for a fixed seed.
-    """
-    if n_samples < 1:
-        raise ValueError("need n_samples >= 1")
-    rng = random.Random(seed)
-    rows = np.empty((n_samples, len(ball)), dtype=bool)
-    for i in range(n_samples):
-        try:
-            point = point_sampler(rng)
-            rows[i] = [fixes(w, point) for w in ball.words]
-        except ResourceLimitError:
-            raise
-        except Exception as exc:
-            raise RuntimeError(f"sampler failed at sample {i}") from exc
-    return _sampled_irs(ball, rows)
 
 
 def _sampled_irs(ball: Ball, rows) -> EmpiricalIRS:

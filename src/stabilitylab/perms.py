@@ -113,26 +113,6 @@ def perm_from_cycles(degree: int, cycles) -> Perm:
     return Perm(tuple(images))
 
 
-def perm_to_line(p: Perm) -> str:
-    return " ".join(str(i) for i in p.images)
-
-
-def parse_perm(text: str, degree: int | None = None) -> Perm:
-    """Parse either a one-line image array ("1 2 0") or cycles ("(0 1 2)(3 4)")."""
-    text = text.strip()
-    if text.startswith("("):
-        if degree is None:
-            raise ValueError("cycle notation needs an explicit degree")
-        cycles = []
-        for chunk in text.replace("(", " ").split(")"):
-            entries = chunk.replace(",", " ").split()
-            if entries:
-                cycles.append(tuple(int(e) for e in entries))
-        return perm_from_cycles(degree, cycles)
-    images = tuple(int(e) for e in text.replace(",", " ").split())
-    return Perm(images)
-
-
 def hamming_distance(p: Perm, q: Perm) -> Fraction:
     """Normalized Hamming distance: the fraction of points where p and q differ."""
     if p.degree != q.degree:

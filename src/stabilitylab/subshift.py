@@ -458,9 +458,6 @@ class ErgodicMeasure:
         table = self._table(2 * clopen.resolution + 1)
         return sum(table.get(w, 0.0) for w in clopen.members)
 
-    def measure_bound(self, clopen: ClopenSet) -> float:
-        return len(clopen.members) * self.tolerance
-
 
 def _frequency_table(sub: Substitution, length: int,
                      threshold: Fraction) -> dict[str, Fraction]:

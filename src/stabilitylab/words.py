@@ -208,11 +208,6 @@ def enumerate_ball(rank: int, radius: int) -> Ball:
     return Ball(rank, radius, tuple(words))
 
 
-def ball_lines(ball: Ball) -> str:
-    """Line-delimited text dump of a ball, one word string per line."""
-    return "\n".join(word_to_string(w) for w in ball.words) + "\n"
-
-
 @dataclass(frozen=True)
 class WordSet:
     """A set of reduced words, all of length <= radius."""

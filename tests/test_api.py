@@ -62,3 +62,22 @@ def test_caps_are_module_constants_read_at_call_time():
                 found += [f"{path.name}:{node.lineno} imports {alias.name}"
                           for alias in node.names if alias.name.endswith("_CAP")]
     assert found == []
+
+
+def test_library_has_no_unused_imports():
+    # a deleted function can leave its imports behind; __init__.py imports
+    # to re-export, so it is skipped
+    found = []
+    for path in sorted(Path(sl.__file__).parent.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [f"{path.name}:{node.lineno} imports {alias.name}"
+                          for alias in node.names
+                          if (alias.asname or alias.name.split(".")[0]) not in used]
+    assert found == []

@@ -7,9 +7,8 @@ from oracles import (expected_d_gen_bound, expected_d_gen_exact, involution_gset
                      random_gset, sparse_gset)
 
 from stabilitylab import challenges
-from stabilitylab.challenges import (FSetPair, challenge_defect, d_gen_bound,
-                                     d_gen_exact, gen_norm, is_m_good,
-                                     pair_from_json, pair_to_json)
+from stabilitylab.challenges import (challenge_defect, d_gen_bound, d_gen_exact,
+                                     gen_norm, is_m_good)
 from stabilitylab.irs import FiniteGSet, relabel, trivial_gset
 from stabilitylab.perms import GenTuple, Perm, alt_marking, identity_perm
 from stabilitylab.words import (InvariantError, ResourceLimitError, WordSet, identity,
@@ -69,18 +68,17 @@ class TestGenNorm:
         with pytest.raises(ValueError):
             gen_norm([0, 0, 1], X, X)
 
-    def test_rejects_size_mismatch(self):
-        with pytest.raises(ValueError):
-            FSetPair(cycle_gset(3), cycle_gset(4))
-
+    @pytest.mark.parametrize("y, message", [
+        (cycle_gset(4), "the two actions must have the same size"),
+        (trivial_gset(3, 3), "the two actions must share a rank")],
+        ids=["size", "rank"])
     @pytest.mark.parametrize("call", [
-        lambda x: FSetPair(x, x), lambda x: gen_norm([], x, x),
-        lambda x: d_gen_exact(x, x), lambda x: d_gen_bound(x, x),
-        lambda x: challenge_defect(x, [w("a")])],
-        ids=["pair", "gen_norm", "d_gen_exact", "d_gen_bound", "challenge_defect"])
-    def test_rejects_empty_actions(self, call):
-        with pytest.raises(ValueError, match="at least one point"):
-            call(trivial_gset(2, 0))
+        lambda x, y: gen_norm(range(3), x, y), d_gen_exact, d_gen_bound,
+        lambda x, y: is_m_good(x, y, WordSet(1, frozenset({identity(2)})), 1)],
+        ids=["gen_norm", "d_gen_exact", "d_gen_bound", "is_m_good"])
+    def test_rejects_mismatched_actions(self, call, y, message):
+        with pytest.raises(ValueError, match=message):
+            call(cycle_gset(3), y)
 
 
 def per_generator_average(f, X, Y):
@@ -277,10 +275,3 @@ class TestMGood:
         rep = is_m_good(X, Y, kernel, m=2)
         assert rep.bound == Fraction(1, 2)
         assert not rep.bound_ok and not rep.passed
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        rng = random.Random(10)
-        pair = FSetPair(random_gset(rng, 5), random_gset(rng, 5))
-        assert pair_from_json(pair_to_json(pair)) == pair

@@ -8,7 +8,7 @@ from oracles import (expected_atom_exponents, expected_fullgroup_irs,
                      expected_multiplicativity)
 from stabilitylab import fullgroup, subshift
 from stabilitylab.fullgroup import (TableElement, adapted_partition,
-                                    ball_elements, element_to_json, fullgroup_irs,
+                                    ball_elements, fullgroup_irs,
                                     fullgroup_irs_limit_check, identity_element,
                                     local_embedding, point_inside,
                                     sample_points, three_cycle, tower_gadgets)
@@ -101,10 +101,6 @@ class TestTableElement:
     def test_no_gadgets_requested(self):
         with pytest.raises(ValueError, match="at least one gadget, got count=0"):
             tower_gadgets(FIB, "aa", 0)
-
-    def test_json_dump(self, gadgets):
-        data = json.loads(element_to_json(gadgets[0]))
-        assert {p["exponent"] for p in data["parts"]} == {-2, 0, 1}
 
 
 class TestCocycle:

@@ -225,11 +225,12 @@ class TestCLI:
         (["subshift-kr", "--seeds", ","], "need at least one seed word, got ','"),
         (["subshift-kr", "--seeds", "a,bb"], "word 'bb' is not admissible"),
         (["vershik", "--ns", "0", "--samples", "10"], "need n >= 1"),
-        (["vershik", "--ns", "20,0", "--samples", "10"], "need n >= 1")],
+        (["vershik", "--ns", "20,0", "--samples", "10"], "need n >= 1"),
+        (["fullgroup-embed", "--radii", "1,-1"], "need rank >= 1 and radius >= 0")],
         ids=["negative-restarts", "no-restarts", "no-instances", "neumann-negative-words",
              "alt-convergence-empty-range", "subshift-kr-no-seeds",
              "subshift-kr-inadmissible-second-seed", "vershik-zero-n",
-             "vershik-zero-n-after-valid"])
+             "vershik-zero-n-after-valid", "fullgroup-embed-negative-second-radius"])
     def test_dgen_rejects_bad_counts(self, argv, message, tmp_path, capsys):
         # a rejected count writes no file
         assert main(argv + ["--out", str(tmp_path)]) == 1

@@ -10,11 +10,10 @@ from oracles import (expected_atomic_irs, expected_fixation_rows,
 
 from stabilitylab.irs import (CylinderFingerprint, EmpiricalIRS, FiniteGSet,
                               coset_action, disjoint_union, fingerprint,
-                              fingerprint_masses,
-                              gset_from_json, gset_to_json, irs_distance,
-                              irs_of_gset, mixture, pad_gset, point_mass_irs,
-                              realize_irs_as_gset, relabel, sample_irs,
-                              trivial_gset, tv_standard_error, vershik_irs)
+                              fingerprint_masses, irs_distance, irs_of_gset,
+                              mixture, pad_gset, point_mass_irs,
+                              realize_irs_as_gset, relabel, trivial_gset,
+                              vershik_irs)
 from stabilitylab.irs import _SAMPLE_BLOCK, _fixation_rows
 from stabilitylab.perms import (GenTuple, Perm, alt_marking, generate_closure,
                                 identity_perm, word_eval)
@@ -281,75 +280,6 @@ class TestDistance:
         assert irs_distance(mid, b) <= HALF
 
 
-class TestSampling:
-    def test_single_sample(self):
-        ball = enumerate_ball(2, 1)
-        irs = sample_irs(lambda rng: 0, lambda word, point: True, ball, 1, seed=5)
-        assert len(irs.support()) == 1
-        assert irs.n_samples == 1
-
-    def test_deterministic_sampler_matches_exact(self):
-        X = disjoint_union(trivial_gset(2, 2), free_transitive_3())
-        ball = enumerate_ball(2, 1)
-        perms = [word_eval(word, X.action) for word in ball.words]
-        by_word = dict(zip(ball.words, perms))
-        points = itertools.cycle(range(X.size))
-        sampled = sample_irs(lambda rng: next(points),
-                             lambda word, x: by_word[word](x) == x,
-                             ball, X.size, seed=0)
-        assert irs_distance(sampled, irs_of_gset(X, 1)) == 0
-
-    def test_seed_reproducibility(self):
-        ball = enumerate_ball(2, 1)
-        X = free_transitive_3()
-        perms = dict(zip(ball.words, [word_eval(word, X.action) for word in ball.words]))
-
-        def sampler(rng):
-            return rng.randrange(X.size)
-
-        a = sample_irs(sampler, lambda word, x: perms[word](x) == x, ball, 50, seed=9)
-        b = sample_irs(sampler, lambda word, x: perms[word](x) == x, ball, 50, seed=9)
-        assert a == b
-
-    def test_sampler_failure_reports_index(self):
-        ball = enumerate_ball(2, 1)
-
-        def sampler(rng):
-            raise KeyError("boom")
-
-        with pytest.raises(RuntimeError, match="sample 0"):
-            sample_irs(sampler, lambda word, x: True, ball, 3, seed=0)
-
-    def test_resource_limit_propagates_unwrapped(self):
-        ball = enumerate_ball(2, 1)
-
-        def sampler(rng):
-            raise ResourceLimitError("cap hit")
-
-        with pytest.raises(ResourceLimitError, match="cap hit"):
-            sample_irs(sampler, lambda word, x: True, ball, 3, seed=0)
-
-    def test_self_consistency_as_samples_grow(self):
-        # uniform 2-coloring stabilizers at radius 2, sampled through the
-        # generic sampler: two sample sizes agree within a few combined
-        # standard errors
-        marking = alt_marking(3)
-        ball = enumerate_ball(2, 2)
-        perms = dict(zip(ball.words, [word_eval(w, marking) for w in ball.words]))
-
-        def sampler(rng):
-            return tuple(rng.randrange(2) for _ in range(marking.degree))
-
-        def fixes(word, coloring):
-            p = perms[word]
-            return all(coloring[p(x)] == coloring[x] for x in range(len(coloring)))
-
-        small = sample_irs(sampler, fixes, ball, 10**3, seed=21)
-        large = sample_irs(sampler, fixes, ball, 10**4, seed=22)
-        tv = irs_distance(small, large)
-        assert tv < 5 * tv_standard_error(small, large) + 0.01
-
-
 class TestVershik:
     def test_single_color_fixes_everything(self):
         irs = vershik_irs([1], "alt:2", radius=1, mode="exact")
@@ -477,10 +407,6 @@ class TestVershik:
 
 
 class TestSerialization:
-    def test_gset_json_round_trip(self):
-        X = free_transitive_3()
-        assert gset_from_json(gset_to_json(X)) == X
-
     def test_irs_json_lines_round_trip(self):
         irs = irs_of_gset(disjoint_union(trivial_gset(2, 2), free_transitive_3()), 1)
         text = irs.to_json_lines()

@@ -10,8 +10,8 @@ from stabilitylab import perms
 from stabilitylab.perms import (GenTuple, Perm, alt_marking, ball_images,
                                 check_almost_solution, check_separating,
                                 generate_closure, hamming_distance, identity_perm,
-                                moved_fractions, parse_perm, perm_from_cycles,
-                                perm_to_line, tuple_distance, word_eval)
+                                moved_fractions, perm_from_cycles, tuple_distance,
+                                word_eval)
 from stabilitylab.words import (ResourceLimitError, WordSet, enumerate_ball, identity,
                                 word_from_string)
 
@@ -37,11 +37,6 @@ class TestPerm:
         assert (c * c.inverse()).is_identity
         assert c.order() == 6
         assert c.parity() == (2 + 1) % 2
-
-    def test_serialization(self):
-        p = perm_from_cycles(5, [(0, 1, 2)])
-        assert parse_perm(perm_to_line(p)) == p
-        assert parse_perm("(0 1 2)", degree=5) == p
 
 
 class TestHamming:

@@ -233,7 +233,7 @@ class TestMeasure:
         for word in ("a", "b", "ab", "aab"):
             c = cylinder(self.sub, word)
             assert abs(self.meas.measure(c.shift_image()) - self.meas.measure(c)) \
-                <= 2 * max(self.meas.measure_bound(c), 1e-12)
+                <= 2 * max(len(c.members) * self.meas.tolerance, 1e-12)
 
     def test_additivity(self):
         a, b = cylinder(self.sub, "a"), cylinder(self.sub, "b")

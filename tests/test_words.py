@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from stabilitylab import words
 from stabilitylab.marked import FreeOracle, TrivialOracle, alt_oracle, az_oracle
 from stabilitylab.words import (ReducedWord, ResourceLimitError, WordSet,
-                                ball_lines, ball_size, enumerate_ball, identity,
+                                ball_size, enumerate_ball, identity,
                                 kernel_fingerprint, reduce, word_from_string,
                                 word_to_string)
 
@@ -105,10 +105,6 @@ class TestBall:
         monkeypatch.setattr(words, "_BALL_CAP", 1000)
         with pytest.raises(ResourceLimitError, match="exceeds cap 1000"):
             enumerate_ball(3, 10)
-
-    def test_lines_dump(self):
-        text = ball_lines(enumerate_ball(2, 1))
-        assert text.splitlines() == ["e", "a", "A", "b", "B"]
 
 
 class TestSerialization:
