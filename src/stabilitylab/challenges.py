@@ -7,9 +7,12 @@ points where f fails to intertwine them, kept as an integer count of
 all bijections is a quadratic-assignment-flavored problem, so alongside the
 exhaustive oracle (tiny sizes only, every bijection scored in one numpy pass)
 there is a measured heuristic: greedy matching on local fixation signatures
-followed by 2-swap descent.  The descent scores each trial swap by its delta:
-swapping f(p) and f(q) changes only the terms (s, a) with a in {p, q, s⁻¹(p),
-s⁻¹(q)}, so a trial costs O(rank) instead of a recount of all |X|·rank terms.
+followed by 2-swap descent.  The descent scores each trial swap in closed
+form, reading f without writing to it: with τ = (p q), swapping f(p) and f(q)
+gives the count Σ_s Σ_b [f(τsτ(b)) != s_Y(f(b))], and τsτ differs from s only
+at b in {p, q, s⁻¹(p), s⁻¹(q)}, so a trial costs O(rank) instead of a recount
+of all |X|·rank terms.  The p side of those terms is computed once per row of
+trials and again only after a swap in that row is taken.
 """
 
 from __future__ import annotations
@@ -109,21 +112,41 @@ def d_gen_bound(x: FiniteGSet, y: FiniteGSet, restarts: int = 30,
     gens = [(sx, sy, s.inverse().images)
             for sx, sy, s in zip(xs, ys, x.action.perms)]
 
-    def swap_delta(f, p, q):
-        """Change in the mismatch count if f(p) and f(q) were swapped; f is
-        left as it was.  Only the terms (s, a) with a in {p, q, s⁻¹(p),
-        s⁻¹(q)} read f(p) or f(q).  The set lists each such a once; a point
-        that s fixes, or s mapping p to q or q to p, would repeat one."""
+    def row_terms(f, p):
+        """The p side of every trial swap in row p, per generator s: s, s_Y,
+        s⁻¹, s(p), f(s(p)), gp = s_Y(f(p)), [f(s(p)) != gp], s⁻¹(p) and
+        hp = s_Y(f(s⁻¹(p))), with [f(p) != hp]."""
+        fp = f[p]
+        terms = []
+        for sx, sy, inv in gens:
+            sp, ip = sx[p], inv[p]
+            fsp, gp, hp = f[sp], sy[fp], sy[f[ip]]
+            terms.append((sx, sy, inv, sp, fsp, gp, fsp != gp, ip, hp, fp != hp))
+        return terms
+
+    def swap_delta(f, p, q, terms):
+        """Change in the mismatch count if f(p) and f(q) were swapped; reads
+        f and never writes to it.  With τ = (p q), the count after the swap
+        is the sum over s and b of [f(τsτ(b)) != s_Y(f(b))], and τsτ differs
+        from s only at b in {p, q, s⁻¹(p), s⁻¹(q)}."""
         fp, fq = f[p], f[q]
         delta = 0
-        for sx, sy, inv in gens:
-            touched = {p, q, inv[p], inv[q]}
-            for a in touched:
-                delta -= f[sx[a]] != sy[f[a]]
-            f[p], f[q] = fq, fp
-            for a in touched:
-                delta += f[sx[a]] != sy[f[a]]
-            f[p], f[q] = fp, fq
+        for sx, sy, inv, sp, fsp, gp, miss_p, ip, hp, miss_ip in terms:
+            sq, gq = sx[q], sy[fq]
+            fsq = f[sq]
+            # b = p: f(τ(s(q))) against gp; b = q: f(τ(s(p))) against gq
+            delta += (((fq if sq == p else fp if sq == q else fsq) != gp) - miss_p
+                      + ((fq if sp == p else fp if sp == q else fsp) != gq)
+                      - (fsq != gq))
+            # b = s⁻¹(p) other than p, q (s⁻¹(p) = q iff s(q) = p): s(b) = p
+            # becomes q
+            if ip != p and sq != p:
+                delta += (fq != hp) - miss_ip
+            # b = s⁻¹(q) other than p, q: s(b) = q becomes p
+            iq = inv[q]
+            if iq != p and iq != q:
+                hq = sy[f[iq]]
+                delta += (fp != hq) - (fq != hq)
         return delta
 
     def descend(f):
@@ -131,12 +154,15 @@ def d_gen_bound(x: FiniteGSet, y: FiniteGSet, restarts: int = 30,
         improved = True
         while improved and count > 0:
             improved = False
-            for p, q in itertools.combinations(range(size), 2):
-                delta = swap_delta(f, p, q)
-                if delta < 0:
-                    f[p], f[q] = f[q], f[p]
-                    count += delta
-                    improved = True
+            for p in range(size - 1):
+                terms = row_terms(f, p)
+                for q in range(p + 1, size):
+                    delta = swap_delta(f, p, q, terms)
+                    if delta < 0:
+                        f[p], f[q] = f[q], f[p]
+                        count += delta
+                        improved = True
+                        terms = row_terms(f, p)
         recount = _mismatches(f, xs, ys)
         if recount != count:
             raise InvariantError(f"swap deltas summed to {count} mismatches, "
@@ -178,10 +204,13 @@ def is_m_good(x: FiniteGSet, y: FiniteGSet, kernel: WordSet, m: int,
     word of length at most m acting trivially on the second action."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    bound = d_gen_bound(x, y, restarts=restarts, seed=seed).value
-    bound_ok = bound < Fraction(1, m)
+    # the pair and kernel checks first: a kernel of the wrong rank fails
+    # before the descent runs
+    _pair_images(x, y)
     violations = tuple(
         w for w, frac in challenge_defect(y, kernel.restrict(min(m, kernel.radius)))
         if frac != 0)
+    bound = d_gen_bound(x, y, restarts=restarts, seed=seed).value
+    bound_ok = bound < Fraction(1, m)
     return MGoodReport(m, bound, bound_ok, violations,
                        bound_ok and not violations)

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (expected_d_gen_bound, expected_d_gen_exact, involution_gset,
                      random_gset, sparse_gset)
 
@@ -162,7 +164,31 @@ class TestDGenExact:
             assert d_gen_exact(X, Z) == expected_d_gen_exact(X, Z) == 0
 
 
+@st.composite
+def action_pairs(draw):
+    """Two equal-size actions: random permutations, sparse cycles, involutions,
+    or an action and a relabelling of it (defect 0, so the starts stop early)."""
+    size, rank = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["permutations", "sparse", "involution", "relabelling"]))
+    if kind in ("sparse", "involution"):
+        make = sparse_gset if kind == "sparse" else involution_gset
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        return make(rng, size, rank), make(rng, size, rank)
+    perm = st.permutations(range(size)).map(lambda xs: Perm(tuple(xs)))
+    x = FiniteGSet(GenTuple(tuple(draw(perm) for _ in range(rank))))
+    if kind == "relabelling":
+        return x, relabel(x, draw(perm))
+    return x, FiniteGSet(GenTuple(tuple(draw(perm) for _ in range(rank))))
+
+
 class TestDGenBound:
+    @settings(max_examples=60, deadline=None)
+    @given(action_pairs(), st.sampled_from([1, 3]), st.integers(0, 2**16))
+    def test_matches_fraction_descent_on_drawn_pairs(self, pair, restarts, seed):
+        x, y = pair
+        assert (d_gen_bound(x, y, restarts, seed)
+                == expected_d_gen_bound(x, y, restarts, seed))
+
     def test_identical_sets(self):
         rng = random.Random(7)
         X = random_gset(rng, 6)
@@ -267,6 +293,16 @@ class TestMGood:
         rep = is_m_good(X, X, kernel, m=2)
         assert not rep.passed
         assert rep.violations == (w("a"),)
+
+    def test_kernel_of_wrong_rank_fails_before_the_descent(self, monkeypatch):
+        def no_descent(*args, **kwargs):
+            raise AssertionError("d_gen_bound ran before the kernel check")
+
+        monkeypatch.setattr(challenges, "d_gen_bound", no_descent)
+        X = cycle_gset(4)
+        kernel = WordSet(1, frozenset({identity(3)}))
+        with pytest.raises(ValueError, match="rank mismatch: word 3 vs tuple 2"):
+            is_m_good(X, X, kernel, m=1)
 
     def test_boundary_is_strict(self):
         # defect exactly 1/2 fails the m = 2 test: strict inequality
