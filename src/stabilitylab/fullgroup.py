@@ -114,7 +114,8 @@ def three_cycle(part: ClopenSet) -> TableElement:
     sub = part.sub
     if part.is_empty:
         return identity_element(sub)
-    stages = [part, part.shift_image(), part.shift_image().shift_image()]
+    first = part.shift_pow(1)
+    stages = [part, first, first.shift_pow(1)]
     for a, b in itertools.combinations(stages, 2):
         if not a.is_disjoint(b):
             raise ValueError("the set and its first two shifts must be disjoint")

@@ -60,12 +60,6 @@ class Perm:
     def is_identity(self) -> bool:
         return all(i == x for x, i in enumerate(self.images))
 
-    def key(self) -> bytes:
-        """Canonical byte encoding, used as dedup key in closures."""
-        if self.degree < 256:
-            return bytes(self.images)
-        return b",".join(str(i).encode() for i in self.images)
-
     def fixed_count(self) -> int:
         return sum(1 for x, i in enumerate(self.images) if i == x)
 
@@ -244,7 +238,7 @@ def generate_closure(gens: GenTuple) -> tuple[Perm, ...]:
     elements.
     """
     start = identity_perm(gens.degree)
-    seen = {start.key()}
+    seen = {start.images}
     elements = [start]
     frontier = [start]
     while frontier:
@@ -252,11 +246,10 @@ def generate_closure(gens: GenTuple) -> tuple[Perm, ...]:
         for g in frontier:
             for s in gens.perms:
                 h = g * s
-                k = h.key()
-                if k not in seen:
+                if h.images not in seen:
                     if len(elements) >= _CLOSURE_CAP:
                         raise ResourceLimitError(f"closure exceeds cap {_CLOSURE_CAP}")
-                    seen.add(k)
+                    seen.add(h.images)
                     elements.append(h)
                     nxt.append(h)
         frontier = nxt

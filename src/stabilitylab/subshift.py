@@ -126,11 +126,12 @@ class Substitution:
                 self._expansions[key] = self.apply(self.expansion(letter, level - 1))
         return self._expansions[key]
 
-    def expansion_lengths(self, level: int) -> dict:
-        lens = {x: 1 for x in self.alphabet}
-        for _ in range(level):
-            lens = {x: sum(lens[y] for y in self.images[x]) for x in self.alphabet}
-        return lens
+    def least_level(self, length: int) -> int:
+        """Least level at which every letter's expansion has the given length."""
+        level = 0
+        while min(len(self.expansion(x, level)) for x in self.alphabet) < length:
+            level += 1
+        return level
 
     def long_word(self, min_length: int) -> str:
         """An admissible word of at least the requested length (an iterate of
@@ -168,9 +169,7 @@ class Substitution:
             if length == 1:
                 found = set(self.alphabet)
             else:
-                level = 0
-                while min(self.expansion_lengths(level).values()) < length:
-                    level += 1
+                level = self.least_level(length)
                 found = set()
                 for pair in self._stable_pairs():
                     s = self.expansion(pair[0], level) + self.expansion(pair[1], level)
@@ -221,13 +220,12 @@ def substitution_by_name(text: str) -> Substitution:
 class ClopenSet:
     """A clopen subset of the subshift, as admissible window words.
 
-    Canonical forms and shifts are memoized on the instance.  The memos only
-    point from a set to sets derived from it, never back, so dropping a set
-    frees its whole shift chain without waiting for the cycle collector.
+    The canonical form is memoized on the instance.  The memo only points
+    from a set to the reduced set derived from it, never back, so dropping a
+    set frees it without waiting for the cycle collector.
     """
 
-    __slots__ = ("sub", "resolution", "members", "_reduced", "_minimal",
-                 "_image", "_preimage")
+    __slots__ = ("sub", "resolution", "members", "_reduced", "_minimal")
 
     def __init__(self, sub: Substitution, resolution: int, members):
         if resolution < 0:
@@ -245,8 +243,6 @@ class ClopenSet:
         self.members = members
         self._reduced = None
         self._minimal = False
-        self._image = None
-        self._preimage = None
 
     # -- canonical form -----------------------------------------------------
 
@@ -335,7 +331,7 @@ class ClopenSet:
         return ClopenSet(self.sub, a.resolution, a.members - b.members)
 
     def complement(self) -> "ClopenSet":
-        lang = frozenset(self.sub.factors(2 * self.resolution + 1))
+        lang = self.sub.factor_set(2 * self.resolution + 1)
         return ClopenSet(self.sub, self.resolution, lang - self.members)
 
     @property
@@ -352,33 +348,25 @@ class ClopenSet:
 
     # -- dynamics -----------------------------------------------------------
 
-    def shift_image(self) -> "ClopenSet":
-        """Image under the shift: y is in T(C) iff y[-L-1..L-1] is a member."""
-        if self._image is None:
-            width = 2 * self.resolution + 3
-            span = 2 * self.resolution + 1
-            members = frozenset(w for w in self.sub.factors(width)
-                                if w[:span] in self.members)
-            self._image = ClopenSet(self.sub, self.resolution + 1, members).reduce()
-        return self._image
-
-    def shift_preimage(self) -> "ClopenSet":
-        if self._preimage is None:
-            width = 2 * self.resolution + 3
-            members = frozenset(w for w in self.sub.factors(width)
-                                if w[2:] in self.members)
-            self._preimage = ClopenSet(self.sub, self.resolution + 1, members).reduce()
-        return self._preimage
-
     def shift_pow(self, n: int) -> "ClopenSet":
-        out = self
+        """Image under the n-th power of the shift, one unit step at a time.
+
+        y is in T(C) iff y[-L-1..L-1] is a member, and in T^-1(C) iff
+        y[-L+1..L+1] is: each step slices the windows of width 2L+3 at offset
+        0 or 2 and reduces the result, which keeps the resolution at or below
+        the L+|n| that one slice of the n-th power would need.
+        """
+        out, off = self, 0 if n > 0 else 2
         for _ in range(abs(n)):
-            out = out.shift_image() if n > 0 else out.shift_preimage()
+            span = 2 * out.resolution + 1
+            members = frozenset(w for w in out.sub.factors(span + 2)
+                                if w[off:off + span] in out.members)
+            out = ClopenSet(out.sub, out.resolution + 1, members).reduce()
         return out
 
 
-def full_set(sub: Substitution, resolution: int = 0) -> ClopenSet:
-    return ClopenSet(sub, resolution, sub.factors(2 * resolution + 1))
+def full_set(sub: Substitution) -> ClopenSet:
+    return ClopenSet(sub, 0, sub.factors(1))
 
 def empty_set(sub: Substitution) -> ClopenSet:
     return ClopenSet(sub, 0, ())
@@ -388,7 +376,7 @@ def cylinder(sub: Substitution, word: str) -> ClopenSet:
     """Points whose coordinates 0..len-1 read the given admissible word."""
     if not sub.is_admissible(word):
         raise ValueError(f"word {word!r} is not admissible")
-    level = max(len(word) - 1, 0)
+    level = len(word) - 1
     width = 2 * level + 1
     members = (w for w in sub.factors(width)
                if w[level:level + len(word)] == word)
@@ -470,9 +458,7 @@ def _frequency_table(sub: Substitution, length: int,
     letters = sub.alphabet
     seed = letters[0]
     k = length
-    level = 0
-    while min(sub.expansion_lengths(level).values()) < k:
-        level += 1
+    level = sub.least_level(k)
     counts: dict[str, Counter] = {}
     pre: dict[str, str] = {}
     suf: dict[str, str] = {}
@@ -582,7 +568,7 @@ class KRPartition:
                 for i in range(tower.height):
                     out.append(KRAtom(v, i, part))
                     if i + 1 < tower.height:
-                        part = part.shift_image()
+                        part = part.shift_pow(1)
             self._atoms = out
         return self._atoms
 
@@ -597,17 +583,18 @@ class KRPartition:
         return out
 
     def roof(self) -> ClopenSet:
+        """Union of the towers' top atoms, read off the cached atoms."""
         out = None
-        for tower in self.towers:
-            top = tower.base.shift_pow(tower.height - 1)
-            out = top if out is None else out.union(top)
+        for atom in self.atoms():
+            if atom.level == self.towers[atom.tower].height - 1:
+                out = atom.part if out is None else out.union(atom.part)
         return out
 
     def validate(self) -> None:
         """Exact checks: atoms partition the space and the shifted roof is the base."""
         if not is_partition(self.sub, [a.part for a in self.atoms()]):
             raise ValueError("tower atoms do not partition the space")
-        if not self.roof().shift_image() == self.base():
+        if not self.roof().shift_pow(1) == self.base():
             raise ValueError("shift of the roof does not equal the base")
 
 

@@ -107,9 +107,7 @@ def expected_frequency_table(sub, length: int, threshold: Fraction) -> dict:
     everywhere and the iterate shows every admissible block."""
     letters = sub.alphabet
     k = length
-    level = 0
-    while min(sub.expansion_lengths(level).values()) < k:
-        level += 1
+    level = sub.least_level(k)
     counts, pre, suf, total = {}, {}, {}, {}
     for x in letters:
         s = sub.expansion(x, level)
@@ -246,7 +244,7 @@ def expected_d_gen_bound(x, y, restarts: int = 30, seed: int = 0) -> BoundResult
 def expected_refine_kr(partition, pieces) -> KRPartition:
     """``refine_kr`` by pulling and lifting sets.
 
-    Each piece is pulled back level by level with ``shift_preimage``, every
+    Each piece is pulled back level by level with ``shift_pow(-1)``, every
     pulled set is lifted to the tower's resolution with ``at_resolution``, and
     a base window's itinerary is read off by set membership.
     """
@@ -262,7 +260,7 @@ def expected_refine_kr(partition, pieces) -> KRPartition:
         pulled, shifted = [], pieces
         for i in range(height):
             if i:
-                shifted = [p.shift_preimage() for p in shifted]
+                shifted = [p.shift_pow(-1) for p in shifted]
             pulled.append([p.at_resolution(level).members for p in shifted])
         groups: dict[tuple, set] = {}
         for member in base.members:

@@ -28,6 +28,9 @@ PINNED_RUNS = {
     "dgen": ["dgen"],
     "dgen-scaled": ["dgen", "--size", "8", "--instances", "20", "--restarts", "5",
                     "--seed", "3"],
+    "subshift-kr": ["subshift-kr"],
+    **{f"subshift-kr-{name}": ["subshift-kr", "--substitution", name, "--seeds", "a,ab,aab"]
+       for name in ("thue-morse", "chacon")},
 }
 PINNED_DIGESTS = {
     "embed-fibonacci/embed_radius_1.json":
@@ -86,6 +89,30 @@ PINNED_DIGESTS = {
         "572ebbd63994d1ec08af6cdd280edc5721bc4bbead7862a050a1271c3200e94c",
     "dgen-scaled/dgen.csv":
         "3bdf1cbf5fa36c009f937762f142ada66a00336c27156d8fb90c2a6a7d301909",
+    "subshift-kr/kr_a.json":
+        "07aca8631be944ad0ccf396274a10de5af2094434ee546e6de8e090449b0510f",
+    "subshift-kr/kr_ab.json":
+        "c10a3f5fa4ed3d426bab4e1b8bd5eb91858aaededefd5c24a03bdeadcb0c48f9",
+    "subshift-kr/kr_b.json":
+        "448727b33a189b87c86aecabeeb3f7ee3f6d6f4c2bc24666a2c2b88b66fd51c7",
+    "subshift-kr/kr_checks.csv":
+        "2bf3a18a8b199d08dcf97b5e18c7c702e3f21ff25d19856762a37f046d740853",
+    "subshift-kr-thue-morse/kr_a.json":
+        "667b6bb675a3ad8481f3c716e8e0dad7e0a05386de89c984860881bc78793895",
+    "subshift-kr-thue-morse/kr_aab.json":
+        "58a717a7f057f45bd595549a9e4cdfe963daaa5ccbc7e9af693f75345b565eab",
+    "subshift-kr-thue-morse/kr_ab.json":
+        "0402600541bdaf8a7b5f278c9a60309762bca4c91f725726baeb72f7943e280a",
+    "subshift-kr-thue-morse/kr_checks.csv":
+        "bff40c8028f2ff7d9e4a2c281cae78057757b317cc929400081beb0e5fd20783",
+    "subshift-kr-chacon/kr_a.json":
+        "e9db521343423c0846e8b64a1f8f82e2b71160221a320bada3a1b0278667e51a",
+    "subshift-kr-chacon/kr_aab.json":
+        "425c76ec89af78c6b34b193c8e542f62c0d722773fe40e677601d2e3c644c4ba",
+    "subshift-kr-chacon/kr_ab.json":
+        "f98ced33c9a6de365dba87c5fc1b4eb5a00911c81e66c5d5793478ef5ac11276",
+    "subshift-kr-chacon/kr_checks.csv":
+        "b2dda3ca73c202f7a58083217d8e3c2b587067388b41c32a4bf37c45b5d4ae81",
 }
 
 

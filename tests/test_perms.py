@@ -191,6 +191,15 @@ class TestClosure:
     def test_all_even(self):
         assert all(p.parity() == 0 for p in generate_closure(alt_marking(2)))
 
+    def test_cycle_above_byte_degree(self):
+        # image values past 255 do not fit a byte; the closure still dedups
+        # them exactly and lists the powers in BFS order
+        cycle = Perm(tuple((i + 1) % 300 for i in range(300)))
+        closure = generate_closure(GenTuple((cycle,)))
+        assert len(closure) == 300
+        assert closure == tuple(Perm(tuple((i + n) % 300 for i in range(300)))
+                                for n in range(300))
+
     def test_cap_raises(self, monkeypatch):
         monkeypatch.setattr(perms, "_CLOSURE_CAP", 59)
         with pytest.raises(ResourceLimitError, match="closure exceeds cap 59"):

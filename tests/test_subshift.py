@@ -129,12 +129,12 @@ class TestClopenAlgebra:
         assert self.a.complement() == self.b
 
     def test_full_is_shift_invariant(self):
-        assert self.full.shift_image() == self.full
-        assert self.full.shift_preimage() == self.full
+        assert self.full.shift_pow(1) == self.full
+        assert self.full.shift_pow(-1) == self.full
 
     def test_shift_round_trip(self):
         c = cylinder(self.sub, "aab")
-        assert c.shift_image().shift_preimage() == c
+        assert c.shift_pow(1).shift_pow(-1) == c
         assert c.shift_pow(3).shift_pow(-3) == c
 
     def test_resolution_independence(self):
@@ -196,7 +196,7 @@ class TestClopenAlgebra:
                 with pytest.raises(ValueError, match="different subshifts"):
                     op(y)
 
-    def test_shift_memos_leave_no_reference_cycles(self):
+    def test_reduce_memo_leaves_no_reference_cycles(self):
         gc.collect()
         gc.disable()
         try:
@@ -212,8 +212,25 @@ class TestClopenAlgebra:
     @given(fib_clopen())
     @settings(max_examples=40, deadline=None)
     def test_shift_is_a_boolean_automorphism(self, c):
-        assert c.shift_image().shift_preimage() == c
-        assert c.complement().shift_image() == c.shift_image().complement()
+        assert c.shift_pow(1).shift_pow(-1) == c
+        assert c.complement().shift_pow(1) == c.shift_pow(1).complement()
+
+    @given(fib_clopen(), st.integers(-5, 5), st.integers(-5, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_shift_powers_add(self, c, m, n):
+        assert c.shift_pow(m).shift_pow(n) == c.shift_pow(m + n)
+
+    @given(fib_clopen(), st.integers(-5, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_unit_steps_match_one_slice(self, c, n):
+        # y is in T^n(C) iff y[-L-n..L-n] is a member: one slice, at offset
+        # |n| - n, of the windows at resolution L + |n|
+        span = 2 * c.resolution + 1
+        off = abs(n) - n
+        level = c.resolution + abs(n)
+        members = (w for w in _FIB.factors(2 * level + 1)
+                   if w[off:off + span] in c.members)
+        assert c.shift_pow(n) == ClopenSet(_FIB, level, members).reduce()
 
 
 class TestMeasure:
@@ -232,7 +249,7 @@ class TestMeasure:
     def test_shift_invariance(self):
         for word in ("a", "b", "ab", "aab"):
             c = cylinder(self.sub, word)
-            assert abs(self.meas.measure(c.shift_image()) - self.meas.measure(c)) \
+            assert abs(self.meas.measure(c.shift_pow(1)) - self.meas.measure(c)) \
                 <= 2 * max(len(c.members) * self.meas.tolerance, 1e-12)
 
     def test_additivity(self):
@@ -309,7 +326,17 @@ class TestKRPartition:
 
     def test_roof_shifts_to_base(self):
         part = kr_partition(fibonacci(), "aa")
-        assert part.roof().shift_image() == part.base()
+        assert part.roof().shift_pow(1) == part.base()
+
+    @pytest.mark.parametrize("sub", [fibonacci(), thue_morse(), chacon()],
+                             ids=["fibonacci", "thue-morse", "chacon"])
+    @pytest.mark.parametrize("word", ["a", "b", "ab", "aab"])
+    def test_roof_is_the_union_of_shifted_bases(self, sub, word):
+        part = kr_partition(sub, word)
+        expected = empty_set(sub)
+        for tower in part.towers:
+            expected = expected.union(tower.base.shift_pow(tower.height - 1))
+        assert part.roof() == expected
 
     def test_tower_masses_sum_to_cylinder(self):
         sub = fibonacci()
