@@ -22,8 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .perms import GenTuple, Perm, alt_marking, ball_images, word_eval
-from .words import (Ball, ReducedWord, enumerate_ball, evaluate_levels,
-                    kernel_fingerprint)
+from .words import Ball, ReducedWord, ball_size, enumerate_ball, evaluate_levels
 
 
 # ---------------------------------------------------------------------------
@@ -341,45 +340,44 @@ class NuResult:
         return f">= {self.value}" if self.saturated else str(self.value)
 
 
-def _nu_from_kernels(k1: frozenset, k2: frozenset, r_max: int) -> NuResult:
-    diff = k1 ^ k2
-    if not diff:
-        return NuResult(r_max, True)
-    return NuResult(min(len(w) for w in diff) - 1, False)
+def _nu_from_masks(mask1: np.ndarray, mask2: np.ndarray, ball: Ball) -> NuResult:
+    differ = mask1 != mask2
+    if not differ.any():
+        return NuResult(ball.radius, True)
+    first = int(differ.argmax())  # the ball is in length order
+    level = next(k for k in range(ball.radius + 1) if first < ball_size(ball.rank, k))
+    return NuResult(level - 1, False)
 
 
 def marked_nu(o1: MarkedGroupOracle, o2: MarkedGroupOracle, r_max: int) -> NuResult:
     """Compare two oracles' kernels on the ball of radius r_max.
 
     The kernels always agree at radius 0, so the result is >= 0.  Agreement
-    at radius n implies agreement at every smaller radius, so a single
-    symmetric-difference scan suffices.
+    at radius n implies agreement at every smaller radius, so nu is one less
+    than the length of the first ball word on which the kernel masks differ.
     """
     if o1.rank != o2.rank:
         raise ValueError("rank mismatch")
     ball = enumerate_ball(o1.rank, r_max)
-    k1 = kernel_fingerprint(o1, r_max, ball=ball).members
-    k2 = kernel_fingerprint(o2, r_max, ball=ball).members
-    return _nu_from_kernels(k1, k2, r_max)
+    return _nu_from_masks(o1.kernel_mask(ball), o2.kernel_mask(ball), ball)
 
 
 def convergence_table(oracles, target: MarkedGroupOracle,
                       r_max: int) -> list[tuple[str, NuResult]]:
     """nu against a fixed target for each oracle in a sequence.
 
-    The ball and the target kernel are computed once and shared.
+    The ball and the target kernel mask are computed once and shared.
     """
     oracles = list(oracles)
     if not oracles:
         return []
     ball = enumerate_ball(target.rank, r_max)
-    target_kernel = kernel_fingerprint(target, r_max, ball=ball).members
+    target_mask = target.kernel_mask(ball)
     rows = []
     for o in oracles:
         if o.rank != target.rank:
             raise ValueError("rank mismatch")
-        kernel = kernel_fingerprint(o, r_max, ball=ball).members
-        rows.append((o.name, _nu_from_kernels(kernel, target_kernel, r_max)))
+        rows.append((o.name, _nu_from_masks(o.kernel_mask(ball), target_mask, ball)))
     return rows
 
 

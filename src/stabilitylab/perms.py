@@ -138,20 +138,23 @@ class GenTuple:
     def rank(self) -> int:
         return len(self.perms)
 
-    def letter_perm(self, letter: int) -> Perm:
-        p = self.perms[abs(letter) - 1]
-        return p if letter > 0 else p.inverse()
-
 
 def word_eval(word: ReducedWord, gens: GenTuple) -> Perm:
     """Evaluate a free-group word at the tuple; the result of the unique
     homomorphism extending the tuple."""
     if word.rank != gens.rank:
         raise ValueError(f"rank mismatch: word {word.rank} vs tuple {gens.rank}")
-    out = identity_perm(gens.degree)
+    n = gens.degree
+    out = list(range(n))
     for letter in word.letters:
-        out = out * gens.letter_perm(letter)
-    return out
+        p = gens.perms[abs(letter) - 1].images
+        if letter > 0:  # (out * p)(x) = out(p(x))
+            out = [out[x] for x in p]
+        else:  # (out * p^-1)(p(x)) = out(x)
+            prev, out = out, [0] * n
+            for x, y in enumerate(p):
+                out[y] = prev[x]
+    return Perm(tuple(out))
 
 
 def ball_images(gens: GenTuple, ball: Ball) -> np.ndarray:

@@ -9,6 +9,7 @@ and the empty word as ``"e"``.  All values here are immutable and hashable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -136,14 +137,37 @@ def ball_size(rank: int, radius: int) -> int:
 
 @dataclass(frozen=True)
 class Ball:
-    """All reduced words of length <= radius, in length-lexicographic order."""
+    """All reduced words of length <= radius, in length-lexicographic order.
+
+    The words are built on the first read of ``words``; the size and the
+    level-wise evaluators need only ``rank`` and ``radius``.  Raises
+    ResourceLimitError if the closed-form size would exceed ``_BALL_CAP``.
+    """
 
     rank: int
     radius: int
-    words: tuple[ReducedWord, ...]
+
+    def __post_init__(self):
+        if self.rank < 1 or self.radius < 0:
+            raise ValueError("need rank >= 1 and radius >= 0")
+        size = ball_size(self.rank, self.radius)
+        if size > _BALL_CAP:
+            raise ResourceLimitError(f"ball of size {size} exceeds cap {_BALL_CAP}")
+
+    @cached_property
+    def words(self) -> tuple[ReducedWord, ...]:
+        words: list[ReducedWord] = [identity(self.rank)]
+        level: list[tuple[int, ...]] = [()]
+        for parents, letters in ball_levels(self.rank, self.radius):
+            level = [level[p] + (l,) for p, l in zip(parents.tolist(), letters.tolist())]
+            words.extend(ReducedWord(self.rank, ls) for ls in level)
+        size = len(self)
+        if len(words) != size:
+            raise InvariantError(f"enumerated {len(words)} words, closed form says {size}")
+        return tuple(words)
 
     def __len__(self) -> int:
-        return len(self.words)
+        return ball_size(self.rank, self.radius)
 
     def __iter__(self):
         return iter(self.words)
@@ -189,23 +213,11 @@ def evaluate_levels(rank: int, radius: int, root, columns):
 
 
 def enumerate_ball(rank: int, radius: int) -> Ball:
-    """Enumerate the closed ball of the given radius in the rank-d free group.
+    """The closed ball of the given radius in the rank-d free group.
 
     Raises ResourceLimitError if the closed-form size would exceed ``_BALL_CAP``.
     """
-    if rank < 1 or radius < 0:
-        raise ValueError("need rank >= 1 and radius >= 0")
-    size = ball_size(rank, radius)
-    if size > _BALL_CAP:
-        raise ResourceLimitError(f"ball of size {size} exceeds cap {_BALL_CAP}")
-    words: list[ReducedWord] = [identity(rank)]
-    level: list[tuple[int, ...]] = [()]
-    for parents, letters in ball_levels(rank, radius):
-        level = [level[p] + (l,) for p, l in zip(parents.tolist(), letters.tolist())]
-        words.extend(ReducedWord(rank, ls) for ls in level)
-    if len(words) != size:
-        raise InvariantError(f"enumerated {len(words)} words, closed form says {size}")
-    return Ball(rank, radius, tuple(words))
+    return Ball(rank, radius)
 
 
 @dataclass(frozen=True)
@@ -251,8 +263,8 @@ def kernel_fingerprint(oracle, radius: int, ball: Ball | None = None) -> WordSet
         raise ValueError(f"rank mismatch: ball {ball.rank} vs oracle {oracle.rank}")
     if ball.radius < radius:
         raise ValueError("ball radius smaller than requested fingerprint radius")
-    if ball.radius > radius:  # the words of length <= radius come first
-        ball = Ball(ball.rank, radius, ball.words[:ball_size(ball.rank, radius)])
+    if ball.radius > radius:
+        ball = enumerate_ball(ball.rank, radius)
     mask = oracle.kernel_mask(ball)
     return WordSet(radius, frozenset(w for w, dead in zip(ball.words, mask.tolist())
                                      if dead))

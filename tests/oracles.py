@@ -14,11 +14,34 @@ import numpy as np
 from stabilitylab.challenges import BoundResult, gen_norm
 from stabilitylab.irs import (CylinderFingerprint, EmpiricalIRS, _alt_like_marking,
                               _az_window_pairs, _parse_alpha, _sampled_irs)
+from stabilitylab.marked import NuResult
 from stabilitylab.perms import (GenTuple, Perm, ball_images, generate_closure,
                                 identity_perm, word_eval)
 from stabilitylab.subshift import ClopenSet, KRPartition, Tower, is_partition
 from stabilitylab.words import InvariantError
 from stabilitylab.words import enumerate_ball
+
+
+def expected_word_eval(word, gens) -> Perm:
+    """The letter-by-letter ``Perm`` product: the identity times the
+    permutation of each letter in turn, inverses by ``Perm.inverse``."""
+    out = identity_perm(gens.degree)
+    for letter in word.letters:
+        p = gens.perms[abs(letter) - 1]
+        out = out * (p if letter > 0 else p.inverse())
+    return out
+
+
+def expected_nu(o1, o2, r_max) -> NuResult:
+    """nu from the symmetric difference of the two kernels as word sets, each
+    kernel found by evaluating the ball one word at a time."""
+    ball = enumerate_ball(o1.rank, r_max)
+    k1, k2 = (frozenset(w for w in ball.words if o.word_is_identity(w))
+              for o in (o1, o2))
+    diff = k1 ^ k2
+    if not diff:
+        return NuResult(r_max, True)
+    return NuResult(min(len(w) for w in diff) - 1, False)
 
 
 def expected_atomic_irs(elements, marking, atoms, radius) -> EmpiricalIRS:

@@ -24,6 +24,7 @@ PINNED_RUNS = {
     "neumann-scaled": ["neumann", "--offset", "2", "--length", "4", "--words", "30",
                        "--seed", "3"],
     "alt-convergence": ["alt-convergence"],
+    "alt-convergence-scaled": ["alt-convergence", "--nu-radius", "10"],
     "vershik": ["vershik", "--samples", "2000"],
     "dgen": ["dgen"],
     "dgen-scaled": ["dgen", "--size", "8", "--instances", "20", "--restarts", "5",
@@ -75,6 +76,8 @@ PINNED_DIGESTS = {
         "fa951f7d39f3789dfdfeef369cb849af1d1dafe79792a588a2e0104831a45b82",
     "alt-convergence/alt_convergence.csv":
         "338aed39a955b2ecc8260429e17226ec029ab8a465fe0b748528f1fe2d073d39",
+    "alt-convergence-scaled/alt_convergence.csv":
+        "3522c997e1b94deda3d09b9b94b0d88157d0be488d2e626b91916c73440e4130",
     "vershik/vershik_alt_20.jsonl":
         "18ed7ddfba6c3a649d1656e3b01be0e252f7a2f51aa473a63ba4931eb193dd0e",
     "vershik/vershik_alt_40.jsonl":

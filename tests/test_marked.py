@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import expected_nu
 
 from stabilitylab import words
 from stabilitylab.marked import (AZ_IDENTITY, DiagonalOracle, FreeOracle,
@@ -154,6 +155,31 @@ class TestConvergenceTable:
         assert [(name, nu.value, nu.saturated) for name, nu in rows] == [
             ("alt:2", 4, False), ("alt:3", 6, False), ("alt:4", 8, False),
             ("alt:5", 10, True), ("alt:6", 10, True)]
+
+
+oracle_names_st = st.one_of(
+    st.integers(2, 7).map(lambda r: f"alt:{r}"),
+    st.builds(lambda o, l: f"neumann:{o}:{l}", st.integers(0, 2), st.integers(1, 3)),
+    st.sampled_from(["az", "trivial", "free"]))
+
+
+class TestNuOracle:
+    """nu read off the kernel masks equals nu from the word-set kernels."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(oracle_names_st, oracle_names_st, st.integers(0, 6))
+    def test_marked_nu(self, a, b, r_max):
+        o1, o2 = oracle_by_name(a), oracle_by_name(b)
+        assert marked_nu(o1, o2, r_max) == expected_nu(o1, o2, r_max)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(oracle_names_st, min_size=1, max_size=4), oracle_names_st,
+           st.integers(0, 6))
+    def test_convergence_table(self, names, target, r_max):
+        oracles = [oracle_by_name(n) for n in names]
+        target = oracle_by_name(target)
+        assert convergence_table(oracles, target, r_max) == [
+            (o.name, expected_nu(o, target, r_max)) for o in oracles]
 
 
 class TestKernelMask:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import expected_word_eval
 
 from stabilitylab import perms
 from stabilitylab.perms import (GenTuple, Perm, alt_marking, ball_images,
@@ -13,7 +14,7 @@ from stabilitylab.perms import (GenTuple, Perm, alt_marking, ball_images,
                                 moved_fractions, perm_from_cycles, tuple_distance,
                                 word_eval)
 from stabilitylab.words import (ResourceLimitError, WordSet, enumerate_ball, identity,
-                                word_from_string)
+                                reduce, word_from_string)
 
 perm5 = st.permutations(range(5)).map(lambda xs: Perm(tuple(xs)))
 
@@ -93,7 +94,6 @@ class TestWordEval:
     @given(st.lists(st.integers(-2, 2).filter(bool), max_size=8),
            st.lists(st.integers(-2, 2).filter(bool), max_size=8))
     def test_multiplicative(self, a, b):
-        from stabilitylab.words import reduce
         gt = alt_marking(2)
         u, v = reduce(2, a), reduce(2, b)
         assert word_eval(u * v, gt) == word_eval(u, gt) * word_eval(v, gt)
@@ -237,6 +237,20 @@ def actions(draw):
     rank = draw(st.integers(1, 3))
     perm = st.permutations(range(degree)).map(lambda xs: Perm(tuple(xs)))
     return GenTuple(tuple(draw(perm) for _ in range(rank)))
+
+
+class TestWordEvalOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_letter_by_letter_product(self, data):
+        gens = data.draw(actions())
+        letter = st.integers(-gens.rank, gens.rank).filter(bool)
+        word = data.draw(st.lists(letter, max_size=8).map(
+            lambda ls: reduce(gens.rank, ls)))
+        assert word_eval(word, gens) == expected_word_eval(word, gens)
+        assert word_eval(identity(gens.rank), gens) == identity_perm(gens.degree)
+        with pytest.raises(ValueError):
+            word_eval(identity(gens.rank % 3 + 1), gens)
 
 
 class TestBallImages:

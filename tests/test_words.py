@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from stabilitylab import words
 from stabilitylab.marked import FreeOracle, TrivialOracle, alt_oracle, az_oracle
-from stabilitylab.words import (ReducedWord, ResourceLimitError, WordSet,
+from stabilitylab.words import (Ball, ReducedWord, ResourceLimitError, WordSet,
                                 ball_size, enumerate_ball, identity,
                                 kernel_fingerprint, reduce, word_from_string,
                                 word_to_string)
@@ -105,6 +105,19 @@ class TestBall:
         monkeypatch.setattr(words, "_BALL_CAP", 1000)
         with pytest.raises(ResourceLimitError, match="exceeds cap 1000"):
             enumerate_ball(3, 10)
+
+    def test_every_ball_is_checked(self):
+        with pytest.raises(ResourceLimitError, match="exceeds cap"):
+            Ball(2, 13)
+        for rank, radius in ((0, 1), (2, -1)):
+            with pytest.raises(ValueError):
+                Ball(rank, radius)
+
+    def test_size_builds_no_words(self):
+        ball = Ball(2, 8)
+        assert len(ball) == 13121
+        assert "words" not in vars(ball)
+        assert len(ball.words) == 13121 and "words" in vars(ball)
 
 
 class TestSerialization:
