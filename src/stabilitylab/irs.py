@@ -229,21 +229,29 @@ def fingerprint_masses(ball: Ball, blocks) -> dict:
     Each block is a pair (rows, weights): ``rows`` is a boolean array with one
     row per point and one column per word of ``ball``, true where the word
     fixes the point, and ``weights`` holds one weight per row.  Equal rows are
-    grouped by their packed bytes; weights are added in block and row order,
-    so float sums are reproducible.  A block whose shape does not match its
-    weights and the ball raises ``ValueError``.
+    grouped by one ``np.unique`` over their packed bytes per block; fingerprints
+    are listed in the order their rows first occur, and weights are added one
+    by one in block and row order into an array of their own dtype, so float
+    sums are reproducible.  A block whose shape does not match its weights and
+    the ball raises ``ValueError``.
     """
-    sums: dict = {}
+    slot: dict = {}
+    sums = np.zeros(0, dtype=bool)  # bool promotes to every weight dtype
     for rows, weights in blocks:
+        weights = np.asarray(weights)
         if rows.shape != (len(weights), len(ball)):
             raise ValueError(f"fixation block of shape {rows.shape} does not match "
                              f"{len(weights)} weights and {len(ball)} ball words")
         packed = np.ascontiguousarray(np.packbits(rows, axis=1))
-        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
-        for key, weight in zip(keys, weights):
-            sums[key] = sums.get(key, 0) + weight
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        slot_of = np.empty(len(uniq), dtype=np.intp)
+        slot_of[order] = [slot.setdefault(key, len(slot)) for key in uniq[order].tolist()]
+        sums = np.concatenate([sums, np.zeros(len(slot) - len(sums), weights.dtype)])
+        np.add.at(sums, slot_of[inverse], weights)
     masses = {}
-    for key, weight in sums.items():
+    for key, weight in zip(slot, sums.tolist()):
         row = np.unpackbits(np.frombuffer(key, np.uint8), count=len(ball))
         fixed = itertools.compress(ball.words, row.tolist())
         masses[CylinderFingerprint.from_words(ball.radius, fixed)] = weight
@@ -263,7 +271,7 @@ def irs_of_gset(gset: FiniteGSet, radius: int) -> EmpiricalIRS:
     """Exact stabilizer-fingerprint distribution of the uniform point measure."""
     ball = enumerate_ball(gset.rank, radius)
     fixed = ball_images(gset.action, ball) == np.arange(gset.size)
-    counts = fingerprint_masses(ball, [(fixed.T, [1] * gset.size)])
+    counts = fingerprint_masses(ball, [(fixed.T, np.ones(gset.size, dtype=np.int64))])
     masses = {fp: Fraction(count, gset.size) for fp, count in counts.items()}
     return EmpiricalIRS(radius, masses, exact=True)
 
@@ -407,7 +415,7 @@ def tv_standard_error(mu: EmpiricalIRS, nu: EmpiricalIRS) -> float:
 def _sampled_irs(ball: Ball, rows) -> EmpiricalIRS:
     """Empirical distribution of fixation rows, one row per sample."""
     n_samples = len(rows)
-    counts = fingerprint_masses(ball, [(rows, [1] * n_samples)])
+    counts = fingerprint_masses(ball, [(rows, np.ones(n_samples, dtype=np.int64))])
     masses = {fp: count / n_samples for fp, count in counts.items()}
     return EmpiricalIRS(ball.radius, masses, exact=False, n_samples=n_samples,
                         sum_tolerance=1e-9)
@@ -487,15 +495,21 @@ def _az_window_pairs(ball: Ball, window: int | None):
 
 def _fixation_rows(colorings, pairs) -> np.ndarray:
     """Row per coloring, column per word: is the coloring constant along
-    every (x, g(x)) pair of the word?  Computed point-major: the colorings
-    are transposed once to one row per point, and each word compares only
-    the pairs it moves (none for the identity), across all colorings at once."""
+    every (x, g(x)) pair of the word?  The colorings are transposed once to
+    one row per point and cut into bit planes of the color index, each packed
+    eight colorings to a byte; a word ORs, over every plane and every pair it
+    moves (none for the identity), the XOR of the pair's two ends."""
     by_point = np.ascontiguousarray(colorings.T)
-    rows = np.empty((len(pairs), len(colorings)), dtype=bool)
+    planes = [np.packbits(by_point & (1 << b), axis=1)
+              for b in range(max(1, int(colorings.max(initial=0)).bit_length()))]
+    differs = np.zeros((len(pairs), planes[0].shape[1]), dtype=np.uint8)
     for j, (src, dst) in enumerate(pairs):
         moved = src != dst
-        rows[j] = ~(by_point[dst[moved]] != by_point[src[moved]]).any(axis=0)
-    return rows.T
+        if moved.any():
+            for plane in planes:
+                differs[j] |= np.bitwise_or.reduce(plane[src[moved]] ^ plane[dst[moved]])
+    fixed = np.unpackbits(~differs, axis=1, count=len(colorings)).view(bool)
+    return np.ascontiguousarray(fixed.T)
 
 
 def _vershik(weights, pairs, size, ball, mode, n_samples, seed) -> EmpiricalIRS:

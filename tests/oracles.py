@@ -176,6 +176,24 @@ def expected_fixation_rows(colorings, pairs) -> np.ndarray:
     return rows
 
 
+def expected_fingerprint_masses(ball, blocks) -> dict:
+    """``fingerprint_masses`` by a dict keyed on each row's packed bytes:
+    weights are added one by one in block and row order, and fingerprints
+    are listed in the order their rows first occur."""
+    sums: dict = {}
+    for rows, weights in blocks:
+        packed = np.ascontiguousarray(np.packbits(rows, axis=1))
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
+        for key, weight in zip(keys, weights):
+            sums[key] = sums.get(key, 0) + weight
+    masses = {}
+    for key, weight in sums.items():
+        row = np.unpackbits(np.frombuffer(key, np.uint8), count=len(ball))
+        fixed = itertools.compress(ball.words, row.tolist())
+        masses[CylinderFingerprint.from_words(ball.radius, fixed)] = weight
+    return masses
+
+
 def expected_sampled_vershik(alpha, target, radius, n_samples, seed,
                              window=None) -> EmpiricalIRS:
     """The sampled coloring-stabilizer IRS with colorings drawn by
@@ -273,7 +291,8 @@ def expected_refine_kr(partition, pieces) -> KRPartition:
     """
     pieces = [p for p in pieces if not p.is_empty]
     sub = partition.sub
-    assert is_partition(sub, pieces)
+    if not is_partition(sub, pieces):
+        raise ValueError("the pieces do not partition the subshift")
     new_towers = []
     for tower in partition.towers:
         height = tower.height
@@ -290,7 +309,9 @@ def expected_refine_kr(partition, pieces) -> KRPartition:
             itinerary = []
             for i in range(height):
                 hits = [j for j, members in enumerate(pulled[i]) if member in members]
-                assert len(hits) == 1
+                if len(hits) != 1:
+                    raise InvariantError(
+                        f"base window lies in {len(hits)} pulled pieces at level {i}")
                 itinerary.append(hits[0])
             groups.setdefault(tuple(itinerary), set()).add(member)
         for j, key in enumerate(sorted(groups)):

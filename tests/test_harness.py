@@ -13,8 +13,10 @@ from stabilitylab.marked import az_oracle
 
 # CLI runs and the sha256 of every file they write.  Embedding reports hold
 # no atom images, but the fullgroup-irs fingerprints are read off them; the
-# vershik files carry each fingerprint's standard error; the scaled dgen run
-# agrees with the exhaustive minimum on 7 of 20 pairs, so its descent works hard
+# vershik files carry each fingerprint's standard error; the scaled vershik run's
+# three colors give two bit planes, and its samples end 3 rows past a draw
+# block; the scaled dgen run agrees with the exhaustive minimum on 7 of 20
+# pairs, so its descent works hard
 PINNED_RUNS = {
     **{f"embed-{name}": ["fullgroup-embed", "--substitution", name, "--radii", "1,2,3"]
        for name in ("fibonacci", "thue-morse", "chacon")},
@@ -26,6 +28,8 @@ PINNED_RUNS = {
     "alt-convergence": ["alt-convergence"],
     "alt-convergence-scaled": ["alt-convergence", "--nu-radius", "10"],
     "vershik": ["vershik", "--samples", "2000"],
+    "vershik-scaled": ["vershik", "--alpha", "1/5,3/10,1/2", "--samples", "4099",
+                       "--seed", "3"],
     "dgen": ["dgen"],
     "dgen-scaled": ["dgen", "--size", "8", "--instances", "20", "--restarts", "5",
                     "--seed", "3"],
@@ -88,6 +92,16 @@ PINNED_DIGESTS = {
         "225d5e6273348aa1237b592ec540d7a7ef016d14c7b5b290b86b1f0dcc6e549e",
     "vershik/vershik_window_limit.jsonl":
         "1119f388526cfc2da62aa065eb30776c9826e2f4e4fe50463c37dfc1ad6334c1",
+    "vershik-scaled/vershik_alt_20.jsonl":
+        "cbda945021dc839fc9063fb6ec9ac1c740674901e6ad347993cf32ad3368a753",
+    "vershik-scaled/vershik_alt_40.jsonl":
+        "227322528569caf27fd1982b405cecd4dd4dae9ec03a2850c9f6f3f4960dffd3",
+    "vershik-scaled/vershik_alt_80.jsonl":
+        "af246a022595a43684a2d53d738a32d7cac53f325abd5aef7f010a39c7a09bed",
+    "vershik-scaled/vershik_tv.csv":
+        "b0524198f778daffba77fad9c9655fda7037619de6a3960ca1f0ceaf5b52cf77",
+    "vershik-scaled/vershik_window_limit.jsonl":
+        "f2e4ef9823ba3f5378d82b95304503156574ed5b39559e31953a678f9e2a5cb2",
     "dgen/dgen.csv":
         "572ebbd63994d1ec08af6cdd280edc5721bc4bbead7862a050a1271c3200e94c",
     "dgen-scaled/dgen.csv":

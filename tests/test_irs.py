@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import (expected_atomic_irs, expected_fixation_rows,
-                     expected_sampled_vershik, random_gset)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (expected_atomic_irs, expected_fingerprint_masses,
+                     expected_fixation_rows, expected_sampled_vershik, random_gset)
 
 from stabilitylab.irs import (CylinderFingerprint, EmpiricalIRS, FiniteGSet,
                               coset_action, disjoint_union, fingerprint,
@@ -69,6 +71,27 @@ class TestFingerprint:
         for bad in [(rows, [1, 2]), (rows[:, :4], [1, 2, 3])]:
             with pytest.raises(ValueError, match="does not match"):
                 fingerprint_masses(ball, [(rows, [1, 2, 3]), bad])
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_masses_match_dict_grouping(self, data):
+        # rows repeat a few patterns across blocks; every row fixes the empty word
+        ball = enumerate_ball(data.draw(st.integers(1, 2)), data.draw(st.integers(0, 2)))
+        pattern = st.lists(st.booleans(), min_size=len(ball) - 1,
+                           max_size=len(ball) - 1).map(lambda bits: [True] + bits)
+        patterns = data.draw(st.lists(pattern, min_size=1, max_size=4))
+        weight = data.draw(st.sampled_from([
+            st.integers(0, 10**6), st.floats(0, 1),
+            st.fractions(0, 1, max_denominator=60)]))
+        blocks = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            picks = data.draw(st.lists(st.sampled_from(patterns), min_size=1, max_size=20))
+            weights = data.draw(st.lists(weight, min_size=len(picks), max_size=len(picks)))
+            blocks.append((np.array(picks, dtype=bool), weights))
+        masses = fingerprint_masses(ball, blocks)
+        expected = expected_fingerprint_masses(ball, blocks)
+        assert [(fp, type(m), m) for fp, m in masses.items()] == \
+               [(fp, type(m), m) for fp, m in expected.items()]
 
     def test_invariants_on_random_actions(self):
         rng = random.Random(0)
@@ -397,6 +420,26 @@ class TestVershik:
         assert rows.shape == (50, 2)
         assert np.array_equal(rows, expected_fixation_rows(colorings, pairs))
         assert rows[:, 1].all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_packed_rows_match_oracle(self, data):
+        # 1-6 colors (1-3 bit planes), counts off a multiple of 8, and words
+        # with no pair, only fixed pairs, or random pairs
+        n_colors = data.draw(st.integers(1, 6))
+        size = data.draw(st.integers(1, 12))
+        palette = data.draw(st.lists(st.integers(0, n_colors - 1), min_size=1, max_size=3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        colorings = rng.choice(palette, size=(data.draw(st.integers(1, 70)), size))
+        colorings = colorings.astype(np.min_scalar_type(n_colors - 1))
+        point = st.integers(0, size - 1)
+        fixed = st.lists(point, max_size=4).map(lambda xs: (np.array(xs, dtype=np.intp),) * 2)
+        moved = st.lists(st.tuples(point, point), max_size=4).map(
+            lambda xy: tuple(np.array([p[i] for p in xy], dtype=np.intp) for i in (0, 1)))
+        pairs = data.draw(st.lists(st.one_of(fixed, moved), min_size=1, max_size=6))
+        rows = _fixation_rows(colorings, pairs)
+        assert rows.dtype == bool and rows.flags.c_contiguous
+        assert np.array_equal(rows, expected_fixation_rows(colorings, pairs))
 
     def test_enumeration_cap(self, monkeypatch):
         monkeypatch.setattr("stabilitylab.irs._ENUMERATION_CAP", 2 ** 5)
