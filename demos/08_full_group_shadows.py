@@ -41,7 +41,8 @@ print("embedding:", report.recommendation)
 
 # The stabilizer IRS, at two partition levels and two tuple sizes.
 measure = ErgodicMeasure(fib)
-irs = fullgroup_irs(part, [g1, g2], 1, 1, measure)
+irs = fullgroup_irs(part, [g1, g2], 1, 1, measure,
+                    local_embedding([g1, g2], 1, part))
 print("\nstabilizer IRS at radius 1:")
 for fp in irs.support():
     print(f"   {fp}  mass {irs.masses[fp]:.6f}")

@@ -23,14 +23,13 @@ from .words import (Ball, InvariantError, ReducedWord, ResourceLimitError,
                     kernel_fingerprint, reduce, word_from_string, word_to_string)
 from .perms import (GenTuple, Perm, alt_marking, ball_images,
                     check_almost_solution, check_separating, generate_closure,
-                    hamming_distance, identity_perm, perm_from_cycles,
-                    tuple_distance, word_eval)
+                    hamming_distance, identity_perm, perm_from_cycles, word_eval)
 from .marked import (AZElement, DiagonalOracle, MarkedGroupOracle, alt_oracle,
                      az_oracle, convergence_table, marked_nu, neumann_truncation,
                      oracle_by_name, tail_defect)
 from .irs import (CylinderFingerprint, EmpiricalIRS, FiniteGSet, disjoint_union,
-                  fingerprint, irs_distance, irs_of_gset, mixture, pad_gset,
-                  point_mass_irs, realize_irs_as_gset, trivial_gset, vershik_irs)
+                  irs_distance, irs_of_gset, mixture, pad_gset, point_mass_irs,
+                  realize_irs_as_gset, trivial_gset, vershik_irs)
 from .challenges import (challenge_defect, d_gen_bound, d_gen_exact, gen_norm,
                          is_m_good)
 from .subshift import (ClopenSet, ErgodicMeasure, KRPartition, Substitution,

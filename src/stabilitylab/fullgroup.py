@@ -464,15 +464,14 @@ def adapted_partition(sub: Substitution, generators, radius: int,
 
 
 def fullgroup_irs(partition: KRPartition, generators, k: int, radius: int,
-                  measure: ErgodicMeasure,
-                  embedding: EmbeddingReport | None = None) -> EmpiricalIRS:
+                  measure: ErgodicMeasure, embedding: EmbeddingReport) -> EmpiricalIRS:
     """Stabilizer distribution of k independent tower-mass-random atoms.
 
     For every k-tuple of atoms the fingerprint collects the ball words whose
     atom permutation fixes each coordinate; the tuple carries the product of
-    atom masses (each atom weighs as much as its tower base).  A passed
-    ``embedding`` must be the report for these generators on this partition
-    at this radius.
+    atom masses (each atom weighs as much as its tower base).  The
+    ``embedding`` must be the passed :func:`local_embedding` report for these
+    generators on this partition at this radius.
 
     The masses are summed by atom class, in tuple order.  Atoms with equal
     fixation rows form a class, and a tuple's fingerprint depends only on its
@@ -486,14 +485,13 @@ def fullgroup_irs(partition: KRPartition, generators, k: int, radius: int,
     if len(partition.atoms()) ** k > _TUPLE_CAP:
         raise ResourceLimitError(f"{len(partition.atoms())}^{k} atom tuples "
                                  f"exceed the cap {_TUPLE_CAP}")
-    gens = list(generators)
-    report = embedding or local_embedding(gens, radius, partition)
-    if report.ball.rank != len(gens):
-        raise ValueError(f"embedding report of rank {report.ball.rank} does not "
-                         f"match {len(gens)} generators")
-    if not report.passed:
-        raise ValueError(report.recommendation)
-    ball, fixed, atom_mass = _atom_fixation(partition, radius, measure, report)
+    rank = len(list(generators))
+    if embedding.ball.rank != rank:
+        raise ValueError(f"embedding report of rank {embedding.ball.rank} does not "
+                         f"match {rank} generators")
+    if not embedding.passed:
+        raise ValueError(embedding.recommendation)
+    ball, fixed, atom_mass = _atom_fixation(partition, radius, measure, embedding)
     # classes numbered by first occurrence: class tuples in product order meet
     # each fingerprint first where the atom tuples do
     first: dict = {}

@@ -12,16 +12,18 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
+from .marked import az_oracle
 from .perms import (GenTuple, Perm, alt_marking, ball_images, generate_closure,
                     identity_perm)
 from .words import (Ball, InvariantError, ReducedWord, ResourceLimitError,
-                    enumerate_ball, identity, word_from_string, word_to_string)
+                    enumerate_ball, identity, word_to_string)
 
 _REALIZATION_CAP = 10**6     # points of one coset realization
 _ENUMERATION_CAP = 2 * 10**6  # colorings enumerated by the exact Vershik IRS
@@ -56,12 +58,6 @@ class CylinderFingerprint:
     def __len__(self) -> int:
         return len(self.words)
 
-    def restrict(self, radius: int) -> "CylinderFingerprint":
-        if radius > self.radius:
-            raise ValueError("can only restrict to a smaller radius")
-        return CylinderFingerprint(
-            radius, tuple(w for w in self.words if len(w) <= radius))
-
     def validate(self) -> None:
         """Check closure invariants: inverses, and products staying in the ball."""
         members = set(self.words)
@@ -89,6 +85,8 @@ class EmpiricalIRS:
         for fp in masses:
             if fp.radius != radius:
                 raise ValueError("fingerprint radius mismatch")
+        if exact and not all(isinstance(m, numbers.Rational) for m in masses.values()):
+            raise ValueError("exact masses must be rational numbers")
         if any(m < 0 for m in masses.values()):
             raise ValueError("masses must be nonnegative")
         total = sum(masses.values())
@@ -108,14 +106,6 @@ class EmpiricalIRS:
     def support(self) -> list[CylinderFingerprint]:
         return sorted((fp for fp, m in self.masses.items() if m > 0),
                       key=CylinderFingerprint.sort_key)
-
-    def restrict(self, radius: int) -> "EmpiricalIRS":
-        merged: dict = {}
-        for fp, m in self.masses.items():
-            small = fp.restrict(radius)
-            merged[small] = merged.get(small, Fraction(0) if self.exact else 0.0) + m
-        return EmpiricalIRS(radius, merged, self.exact, self.n_samples,
-                            sum_tolerance=math.inf if not self.exact else 1e-12)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EmpiricalIRS):
@@ -138,31 +128,6 @@ class EmpiricalIRS:
                 entry["n_samples"] = self.n_samples
             lines.append(json.dumps(entry))
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_json_lines(cls, text: str, rank: int = 2) -> "EmpiricalIRS":
-        masses: dict = {}
-        radius = None
-        n_samples = None
-        exact = True
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            entry = json.loads(line)
-            radius = entry["r"]
-            fp = CylinderFingerprint.from_words(
-                radius, [word_from_string(t, rank) for t in entry["W"]])
-            mass = entry["mass"]
-            if isinstance(mass, str):
-                num, den = mass.split("/")
-                masses[fp] = Fraction(int(num), int(den))
-            else:
-                masses[fp] = float(mass)
-                exact = False
-            n_samples = entry.get("n_samples", n_samples)
-        if radius is None:
-            raise ValueError("no fingerprints in input")
-        return cls(radius, masses, exact, n_samples, sum_tolerance=math.inf)
 
 
 def _stderr(p: float, n: int) -> float:
@@ -256,15 +221,6 @@ def fingerprint_masses(ball: Ball, blocks) -> dict:
         fixed = itertools.compress(ball.words, row.tolist())
         masses[CylinderFingerprint.from_words(ball.radius, fixed)] = weight
     return masses
-
-
-def fingerprint(action: GenTuple, x: int, ball: Ball) -> CylinderFingerprint:
-    """Stabilizer fingerprint of one point: the ball words fixing it."""
-    if not 0 <= x < action.degree:
-        raise ValueError(f"point {x} outside range({action.degree})")
-    fixed = ball_images(action, ball)[:, x] == x
-    (fp,) = fingerprint_masses(ball, [(fixed[None, :], [1])])
-    return fp
 
 
 def irs_of_gset(gset: FiniteGSet, radius: int) -> EmpiricalIRS:
@@ -412,15 +368,6 @@ def tv_standard_error(mu: EmpiricalIRS, nu: EmpiricalIRS) -> float:
     return math.sqrt(var) / 2
 
 
-def _sampled_irs(ball: Ball, rows) -> EmpiricalIRS:
-    """Empirical distribution of fixation rows, one row per sample."""
-    n_samples = len(rows)
-    counts = fingerprint_masses(ball, [(rows, np.ones(n_samples, dtype=np.int64))])
-    masses = {fp: count / n_samples for fp, count in counts.items()}
-    return EmpiricalIRS(ball.radius, masses, exact=False, n_samples=n_samples,
-                        sum_tolerance=1e-9)
-
-
 # ---------------------------------------------------------------------------
 # the coloring-stabilizer IRS
 
@@ -467,8 +414,6 @@ def vershik_irs(alpha, target: str, radius: int = 2, mode: str = "exact",
 
 def _az_window_pairs(ball: Ball, window: int | None):
     """Per ball word, the window indices (x, g(x)) with both ends inside."""
-    from .marked import az_oracle
-
     oracle = az_oracle()
     elements = [oracle.evaluate(w) for w in ball.words]
     needed = 0
@@ -545,13 +490,19 @@ def _vershik(weights, pairs, size, ball, mode, n_samples, seed) -> EmpiricalIRS:
         p = np.array([float(a) for a in weights])
         cdf = (p / p.sum()).cumsum()
         cdf /= cdf[-1]
-        # drawn in row blocks, which continue one stream, to bound memory
-        rows = np.empty((n_samples, len(pairs)), dtype=bool)
-        for start in range(0, n_samples, _SAMPLE_BLOCK):
-            u = rng.random((min(_SAMPLE_BLOCK, n_samples - start), size))
+
+        # drawn in row blocks, which continue one stream, to bound memory; a
+        # block's draws are freed before the next block is drawn
+        def block(count):
+            u = rng.random((count, size))
             colorings = np.zeros(u.shape, dtype=dtype)
             for edge in cdf[:-1]:
                 colorings += u >= edge
-            rows[start:start + len(u)] = _fixation_rows(colorings, pairs)
-        return _sampled_irs(ball, rows)
+            return _fixation_rows(colorings, pairs), np.ones(count, dtype=np.int64)
+
+        counts = fingerprint_masses(ball, (block(min(_SAMPLE_BLOCK, n_samples - start))
+                                           for start in range(0, n_samples, _SAMPLE_BLOCK)))
+        masses = {fp: count / n_samples for fp, count in counts.items()}
+        return EmpiricalIRS(ball.radius, masses, exact=False, n_samples=n_samples,
+                            sum_tolerance=1e-9)
     raise ValueError(f"unknown mode {mode!r}")

@@ -47,9 +47,6 @@ class AZElement:
     def is_identity(self) -> bool:
         return not self.sigma and self.shift == 0
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(n for n, _ in self.sigma))
-
     def sigma_parity(self) -> int:
         """Parity of the finitely supported permutation (0 even / 1 odd)."""
         s = self.as_dict()
@@ -108,14 +105,14 @@ def az_shift(t: int) -> AZElement:
     return AZElement((), t)
 
 
-def az_from_cycles(cycles, shift: int = 0) -> AZElement:
+def az_from_cycles(cycles) -> AZElement:
     moved = {}
     for cyc in cycles:
         for i, x in enumerate(cyc):
             y = cyc[(i + 1) % len(cyc)]
             if y != x:
                 moved[x] = y
-    elem = AZElement(tuple(sorted(moved.items())), shift)
+    elem = AZElement(tuple(sorted(moved.items())), 0)
     if elem.sigma_parity() != 0:
         raise ValueError("finitely supported part must be an even permutation")
     return elem
@@ -165,15 +162,12 @@ class TrivialOracle(MarkedGroupOracle):
         self.name = "trivial"
 
     def evaluate(self, word):
-        self._check(word)
+        if word.rank != self.rank:
+            raise ValueError("rank mismatch")
         return None
 
     def is_identity(self, handle) -> bool:
         return True
-
-    def _check(self, word):
-        if word.rank != self.rank:
-            raise ValueError("rank mismatch")
 
 
 class FreeOracle(MarkedGroupOracle):

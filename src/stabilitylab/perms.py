@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
@@ -62,34 +61,6 @@ class Perm:
 
     def fixed_count(self) -> int:
         return sum(1 for x, i in enumerate(self.images) if i == x)
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Nontrivial cycles, each starting at its least element."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(self.degree):
-            if seen[start] or self.images[start] == start:
-                seen[start] = True
-                continue
-            cyc = [start]
-            seen[start] = True
-            x = self.images[start]
-            while x != start:
-                cyc.append(x)
-                seen[x] = True
-                x = self.images[x]
-            out.append(tuple(cyc))
-        return out
-
-    def parity(self) -> int:
-        """0 for even, 1 for odd."""
-        return sum(len(c) - 1 for c in self.cycles()) % 2
-
-    def order(self) -> int:
-        out = 1
-        for c in self.cycles():
-            out = out * len(c) // gcd(out, len(c))
-        return out
 
     def __repr__(self) -> str:
         return f"Perm({list(self.images)})"
@@ -174,13 +145,6 @@ def ball_images(gens: GenTuple, ball: Ball) -> np.ndarray:
     root = np.arange(gens.degree, dtype=np.min_scalar_type(max(gens.degree - 1, 0)))
     return np.concatenate(list(evaluate_levels(ball.rank, ball.radius, root,
                                                lambda k: images)))
-
-
-def tuple_distance(a: GenTuple, b: GenTuple) -> Fraction:
-    if a.degree != b.degree or a.rank != b.rank:
-        raise ValueError("degree/rank mismatch")
-    return sum((hamming_distance(p, q) for p, q in zip(a.perms, b.perms)),
-               start=Fraction(0))
 
 
 @dataclass(frozen=True)

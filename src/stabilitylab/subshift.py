@@ -9,6 +9,7 @@ words; only the invariant measure carries a (tiny, tracked) tolerance.
 
 from __future__ import annotations
 
+import json
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -182,13 +183,6 @@ class Substitution:
         self.factors(length)
         return self._factor_sets[length]
 
-    def language(self, max_length: int) -> tuple:
-        """All admissible words of length up to the bound, shortest first."""
-        out = []
-        for n in range(1, max_length + 1):
-            out.extend(self.factors(n))
-        return tuple(out)
-
     def is_admissible(self, word: str) -> bool:
         return bool(word) and word in self.factor_set(len(word))
 
@@ -330,17 +324,9 @@ class ClopenSet:
         a, b = self._common(other)
         return ClopenSet(self.sub, a.resolution, a.members - b.members)
 
-    def complement(self) -> "ClopenSet":
-        lang = self.sub.factor_set(2 * self.resolution + 1)
-        return ClopenSet(self.sub, self.resolution, lang - self.members)
-
     @property
     def is_empty(self) -> bool:
         return not self.members
-
-    def is_subset(self, other: "ClopenSet") -> bool:
-        fine = self.at_resolution(max(self.resolution, other.resolution))
-        return len(fine._inside(other)) == len(fine.members)
 
     def is_disjoint(self, other: "ClopenSet") -> bool:
         fine, coarse = self._finer_first(other)
@@ -367,9 +353,6 @@ class ClopenSet:
 
 def full_set(sub: Substitution) -> ClopenSet:
     return ClopenSet(sub, 0, sub.factors(1))
-
-def empty_set(sub: Substitution) -> ClopenSet:
-    return ClopenSet(sub, 0, ())
 
 
 def cylinder(sub: Substitution, word: str) -> ClopenSet:
@@ -650,8 +633,6 @@ def refine_kr(partition: KRPartition, *stages) -> KRPartition:
 
 
 def partition_to_json(partition: KRPartition) -> str:
-    import json
-
     towers = []
     for tower in partition.towers:
         base = tower.base.reduce()

@@ -247,7 +247,7 @@ class WordSet:
         return WordSet(radius, frozenset(w for w in self.members if len(w) <= radius))
 
 
-def kernel_fingerprint(oracle, radius: int, ball: Ball | None = None) -> WordSet:
+def kernel_fingerprint(oracle, radius: int) -> WordSet:
     """Ball words that the marked-group oracle evaluates to the identity.
 
     ``oracle`` needs ``rank`` and ``kernel_mask(ball)``, a boolean array over
@@ -257,14 +257,7 @@ def kernel_fingerprint(oracle, radius: int, ball: Ball | None = None) -> WordSet
     empty word and is closed under inversion and under products that stay
     inside the ball.
     """
-    if ball is None:
-        ball = enumerate_ball(oracle.rank, radius)
-    if ball.rank != oracle.rank:
-        raise ValueError(f"rank mismatch: ball {ball.rank} vs oracle {oracle.rank}")
-    if ball.radius < radius:
-        raise ValueError("ball radius smaller than requested fingerprint radius")
-    if ball.radius > radius:
-        ball = enumerate_ball(ball.rank, radius)
+    ball = enumerate_ball(oracle.rank, radius)
     mask = oracle.kernel_mask(ball)
     return WordSet(radius, frozenset(w for w, dead in zip(ball.words, mask.tolist())
                                      if dead))

@@ -13,7 +13,7 @@ import numpy as np
 
 from stabilitylab.challenges import BoundResult, gen_norm
 from stabilitylab.irs import (CylinderFingerprint, EmpiricalIRS, _alt_like_marking,
-                              _az_window_pairs, _parse_alpha, _sampled_irs)
+                              _az_window_pairs, _parse_alpha)
 from stabilitylab.marked import NuResult
 from stabilitylab.perms import (GenTuple, Perm, ball_images, generate_closure,
                                 identity_perm, word_eval)
@@ -99,7 +99,7 @@ def expected_fullgroup_irs(partition, report, k, radius, measure) -> dict:
 def expected_atom_exponents(element, partition) -> tuple:
     """The table exponent on each atom, by testing the atom against every part
     as clopen sets; None where no single part holds the whole atom."""
-    return tuple(next((a for part, a in element.parts if atom.part.is_subset(part)),
+    return tuple(next((a for part, a in element.parts if atom.part.minus(part).is_empty),
                       None)
                  for atom in partition.atoms())
 
@@ -197,7 +197,8 @@ def expected_fingerprint_masses(ball, blocks) -> dict:
 def expected_sampled_vershik(alpha, target, radius, n_samples, seed,
                              window=None) -> EmpiricalIRS:
     """The sampled coloring-stabilizer IRS with colorings drawn by
-    ``Generator.choice`` and rows from ``expected_fixation_rows``."""
+    ``Generator.choice``, rows from ``expected_fixation_rows`` and counts
+    from ``expected_fingerprint_masses``."""
     weights = _parse_alpha(alpha)
     ball = enumerate_ball(2, radius)
     if target == "az":
@@ -211,7 +212,11 @@ def expected_sampled_vershik(alpha, target, radius, n_samples, seed,
     p = np.array([float(a) for a in weights])
     colorings = rng.choice(len(weights), size=(n_samples, size),
                            p=p / p.sum()).astype(dtype)
-    return _sampled_irs(ball, expected_fixation_rows(colorings, pairs))
+    rows = expected_fixation_rows(colorings, pairs)
+    counts = expected_fingerprint_masses(ball, [(rows, [1] * n_samples)])
+    masses = {fp: count / n_samples for fp, count in counts.items()}
+    return EmpiricalIRS(radius, masses, exact=False, n_samples=n_samples,
+                        sum_tolerance=1e-9)
 
 
 def expected_d_gen_exact(x, y) -> Fraction:

@@ -12,8 +12,9 @@ from stabilitylab.fullgroup import (TableElement, adapted_partition,
                                     fullgroup_irs_limit_check, identity_element,
                                     local_embedding, point_inside,
                                     sample_points, three_cycle, tower_gadgets)
-from stabilitylab.subshift import (ErgodicMeasure, KRPartition, chacon, cylinder,
-                                   fibonacci, full_set, kr_partition, thue_morse)
+from stabilitylab.subshift import (ClopenSet, ErgodicMeasure, KRPartition, chacon,
+                                   cylinder, fibonacci, full_set, kr_partition,
+                                   thue_morse)
 from stabilitylab.words import (ReducedWord, ResourceLimitError, enumerate_ball,
                                 identity, word_from_string)
 
@@ -87,8 +88,7 @@ class TestTableElement:
             three_cycle(cylinder(FIB, "a"))  # "aa" happens, so [a] meets T[a]
 
     def test_three_cycle_of_empty_set(self):
-        from stabilitylab.subshift import empty_set
-        assert three_cycle(empty_set(FIB)).is_identity
+        assert three_cycle(ClopenSet(FIB, 0, ())).is_identity
 
     def test_gadgets_commute(self, gadgets):
         g1, g2 = gadgets
@@ -412,8 +412,9 @@ class TestCocycleProducts:
 
 class TestFullgroupIRS:
     def test_identity_generators_full_ball(self, measure):
-        part = adapted_partition(FIB, [identity_element(FIB)], 1, "aa")
-        irs = fullgroup_irs(part, [identity_element(FIB)], 2, 1, measure)
+        gens = [identity_element(FIB)]
+        part = adapted_partition(FIB, gens, 1, "aa")
+        irs = fullgroup_irs(part, gens, 2, 1, measure, local_embedding(gens, 1, part))
         [fp] = irs.support()
         assert len(fp.words) == 3  # e, a, A with rank 1
         assert irs.masses[fp] == pytest.approx(1.0, abs=1e-8)
@@ -421,26 +422,28 @@ class TestFullgroupIRS:
     def test_shift_generator_fixes_nothing(self, measure):
         t = TableElement(FIB, [(full_set(FIB), 1)])
         part = adapted_partition(FIB, [t], 1, "aa")
-        irs = fullgroup_irs(part, [t], 1, 1, measure)
+        irs = fullgroup_irs(part, [t], 1, 1, measure, local_embedding([t], 1, part))
         [fp] = irs.support()
         assert fp.words == (identity(1),)
         assert irs.masses[fp] == pytest.approx(1.0, abs=1e-8)
 
     def test_failed_embedding_propagates(self, gadgets):
+        part = kr_partition(FIB, "a")
+        report = local_embedding(gadgets, 1, part)
         with pytest.raises(ValueError, match="deepen"):
-            fullgroup_irs(kr_partition(FIB, "a"), gadgets, 1, 1,
-                          ErgodicMeasure(FIB))
+            fullgroup_irs(part, gadgets, 1, 1, ErgodicMeasure(FIB), report)
 
     def test_masses_sum_to_one(self, gadgets, measure):
         part = adapted_partition(FIB, gadgets, 1, "aa")
+        report = local_embedding(gadgets, 1, part)
         for k in (1, 2):
-            irs = fullgroup_irs(part, gadgets, k, 1, measure)
+            irs = fullgroup_irs(part, gadgets, k, 1, measure, report)
             total = sum(irs.masses.values())
             assert abs(total - 1) <= k * len(part.atoms()) * 1e-9 + 1e-9
 
     def test_fingerprints_satisfy_invariants(self, gadgets, measure):
         part = adapted_partition(FIB, gadgets, 1, "aa")
-        irs = fullgroup_irs(part, gadgets, 2, 1, measure)
+        irs = fullgroup_irs(part, gadgets, 2, 1, measure, local_embedding(gadgets, 1, part))
         for fp in irs.support():
             fp.validate()
 
@@ -462,20 +465,22 @@ class TestFullgroupIRS:
         part = adapted_partition(FIB, gadgets, 1, "aa")
         assert ball_elements(iter(gadgets), 2) == ball_elements(gadgets, 2)
         assert adapted_partition(FIB, iter(gadgets), 1, "aa").atoms() == part.atoms()
+        report = local_embedding(gadgets, 1, part)
         for k in (1, 2):
-            assert fullgroup_irs(part, iter(gadgets), k, 1, measure).masses == \
-                fullgroup_irs(part, gadgets, k, 1, measure).masses
+            assert fullgroup_irs(part, iter(gadgets), k, 1, measure, report).masses == \
+                fullgroup_irs(part, gadgets, k, 1, measure, report).masses
 
     def test_tuple_cap(self, gadgets, measure, monkeypatch):
         part = adapted_partition(FIB, gadgets, 1, "aa")
         assert len(part.atoms()) == 21
+        report = local_embedding(gadgets, 1, part)
         with pytest.raises(ResourceLimitError, match=r"21\^6 atom tuples"):
-            fullgroup_irs(part, gadgets, 6, 1, measure)
+            fullgroup_irs(part, gadgets, 6, 1, measure, report)
         monkeypatch.setattr(fullgroup, "_TUPLE_CAP", 21 ** 2)
-        fullgroup_irs(part, gadgets, 2, 1, measure)
+        fullgroup_irs(part, gadgets, 2, 1, measure, report)
         monkeypatch.setattr(fullgroup, "_TUPLE_CAP", 21 ** 2 - 1)
         with pytest.raises(ResourceLimitError, match="exceed the cap"):
-            fullgroup_irs(part, gadgets, 2, 1, measure)
+            fullgroup_irs(part, gadgets, 2, 1, measure, report)
         with pytest.raises(ResourceLimitError, match="exceed the cap"):
             fullgroup_irs_limit_check(FIB, gadgets, 2, 1, ["aa"], measure)
 

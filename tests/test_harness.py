@@ -16,10 +16,12 @@ from stabilitylab.marked import az_oracle
 # vershik files carry each fingerprint's standard error; the scaled vershik run's
 # three colors give two bit planes, and its samples end 3 rows past a draw
 # block; the scaled dgen run agrees with the exhaustive minimum on 7 of 20
-# pairs, so its descent works hard
+# pairs, so its descent works hard.  CI runs this test against the installed
+# package, so these runs also cover the console script's outputs
 PINNED_RUNS = {
     **{f"embed-{name}": ["fullgroup-embed", "--substitution", name, "--radii", "1,2,3"]
        for name in ("fibonacci", "thue-morse", "chacon")},
+    "embed": ["fullgroup-embed"],
     "irs-k2": ["fullgroup-irs", "--k", "2"],
     "irs-k4": ["fullgroup-irs", "--k", "4", "--radius", "1"],
     "neumann": ["neumann"],
@@ -28,9 +30,11 @@ PINNED_RUNS = {
     "alt-convergence": ["alt-convergence"],
     "alt-convergence-scaled": ["alt-convergence", "--nu-radius", "10"],
     "vershik": ["vershik", "--samples", "2000"],
+    "vershik-20000": ["vershik", "--samples", "20000"],
     "vershik-scaled": ["vershik", "--alpha", "1/5,3/10,1/2", "--samples", "4099",
                        "--seed", "3"],
     "dgen": ["dgen"],
+    "dgen-20": ["dgen", "--instances", "20"],
     "dgen-scaled": ["dgen", "--size", "8", "--instances", "20", "--restarts", "5",
                     "--seed", "3"],
     "subshift-kr": ["subshift-kr"],
@@ -62,6 +66,12 @@ PINNED_DIGESTS = {
         "aec3318132063394c37489f8c35535bf2ace120359898a5fd6c08eee93a455e8",
     "embed-chacon/embed_summary.csv":
         "f6021173f419c449bbc154947f613eb9dbb55de44036d89cdb884b805768da3f",
+    "embed/embed_radius_1.json":
+        "41b4ea2c0bbbb89ecec15e9bde32005d1b12af00f937cbca7e8dc9cc157f08e6",
+    "embed/embed_radius_2.json":
+        "2af87d39a8e39641a24de2017693b6ace9e517328efc8bb8a585df43522caee9",
+    "embed/embed_summary.csv":
+        "56fea0beca328bdb625fab5117ad7459c955569124d08396d2c6853e62ac8bbb",
     "irs-k2/fullgroup_irs_aa.jsonl":
         "31b779cdeb100bfc9af9971eaf6e4a628880140a8f74fcdbfc5edb49b630bbba",
     "irs-k2/fullgroup_irs_ab.jsonl":
@@ -92,6 +102,16 @@ PINNED_DIGESTS = {
         "225d5e6273348aa1237b592ec540d7a7ef016d14c7b5b290b86b1f0dcc6e549e",
     "vershik/vershik_window_limit.jsonl":
         "1119f388526cfc2da62aa065eb30776c9826e2f4e4fe50463c37dfc1ad6334c1",
+    "vershik-20000/vershik_alt_20.jsonl":
+        "9586596f69ee9e2c259b700b03e8880850917055475596b29e6a62381f801d02",
+    "vershik-20000/vershik_alt_40.jsonl":
+        "b6b902447455aef48e1c7508663b2ee7989ef84d0a819a710ff3ba1aac543aae",
+    "vershik-20000/vershik_alt_80.jsonl":
+        "82ba44715535cdd6de24571653c3f16360fcc825a6d0628d2eaefe8a070a7996",
+    "vershik-20000/vershik_tv.csv":
+        "e6cd78f1164a44af923ab72f0d68611cc65d94d187b2322412870ad3815f106b",
+    "vershik-20000/vershik_window_limit.jsonl":
+        "b1e1b0ff952e93b94543069944ebb9bc6a0e9b6dcb124599be508975ea9772cf",
     "vershik-scaled/vershik_alt_20.jsonl":
         "cbda945021dc839fc9063fb6ec9ac1c740674901e6ad347993cf32ad3368a753",
     "vershik-scaled/vershik_alt_40.jsonl":
@@ -104,6 +124,8 @@ PINNED_DIGESTS = {
         "f2e4ef9823ba3f5378d82b95304503156574ed5b39559e31953a678f9e2a5cb2",
     "dgen/dgen.csv":
         "572ebbd63994d1ec08af6cdd280edc5721bc4bbead7862a050a1271c3200e94c",
+    "dgen-20/dgen.csv":
+        "0c2c55c2c47708fe40acc5e75b7964fd37b1db149086e4a83863b0198ff9c494",
     "dgen-scaled/dgen.csv":
         "3bdf1cbf5fa36c009f937762f142ada66a00336c27156d8fb90c2a6a7d301909",
     "subshift-kr/kr_a.json":

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -8,14 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (expected_atomic_irs, expected_fingerprint_masses,
-                     expected_fixation_rows, expected_sampled_vershik, random_gset)
+                     expected_fixation_rows, expected_sampled_vershik,
+                     expected_word_eval, involution_gset, random_gset, sparse_gset)
 
 from stabilitylab.irs import (CylinderFingerprint, EmpiricalIRS, FiniteGSet,
-                              coset_action, disjoint_union, fingerprint,
-                              fingerprint_masses, irs_distance, irs_of_gset,
-                              mixture, pad_gset, point_mass_irs,
-                              realize_irs_as_gset, relabel, trivial_gset,
-                              vershik_irs)
+                              coset_action, disjoint_union, fingerprint_masses,
+                              irs_distance, irs_of_gset, mixture, pad_gset,
+                              point_mass_irs, realize_irs_as_gset, relabel,
+                              trivial_gset, vershik_irs)
 from stabilitylab.irs import _SAMPLE_BLOCK, _fixation_rows
 from stabilitylab.perms import (GenTuple, Perm, alt_marking, generate_closure,
                                 identity_perm, word_eval)
@@ -43,25 +44,20 @@ def regular_alt5() -> FiniteGSet:
 
 class TestFingerprint:
     def test_trivial_action_gives_full_ball(self):
-        ball = enumerate_ball(2, 2)
-        X = trivial_gset(2, 4)
-        fp = fingerprint(X.action, 0, ball)
-        assert fp.words == ball.words
+        [fp] = irs_of_gset(trivial_gset(2, 4), 2).support()
+        assert fp.words == enumerate_ball(2, 2).words
 
     def test_free_point_gives_identity_only(self):
-        ball = enumerate_ball(2, 1)
-        fp = fingerprint(free_transitive_3().action, 1, ball)
+        [fp] = irs_of_gset(free_transitive_3(), 1).support()
         assert fp.words == (identity(2),)
 
     def test_alt2_center_at_radius_one(self):
-        # neither generator fixes the center point, so only e remains
-        ball = enumerate_ball(2, 1)
-        fp = fingerprint(alt_marking(2), 2, ball)
-        assert fp.words == (identity(2),)
-
-    def test_out_of_range_point(self):
-        with pytest.raises(ValueError):
-            fingerprint(alt_marking(2), 7, enumerate_ball(2, 1))
+        # neither generator fixes the center point or its neighbours, so only
+        # e remains there; b fixes the two outer points
+        irs = irs_of_gset(FiniteGSet(alt_marking(2)), 1)
+        center = CylinderFingerprint.from_words(1, [identity(2)])
+        outer = CylinderFingerprint.from_words(1, [identity(2), w("b"), w("B")])
+        assert irs.masses == {center: Fraction(3, 5), outer: Fraction(2, 5)}
 
     def test_masses_reject_misshapen_blocks(self):
         ball = enumerate_ball(2, 1)  # 5 words
@@ -95,25 +91,29 @@ class TestFingerprint:
 
     def test_invariants_on_random_actions(self):
         rng = random.Random(0)
-        ball = enumerate_ball(2, 3)
         for _ in range(10):
-            X = random_gset(rng, 6)
-            for x in range(X.size):
-                fingerprint(X.action, x, ball).validate()
+            for fp in irs_of_gset(random_gset(rng, 6), 3).support():
+                fp.validate()
 
-    def test_matches_scalar_evaluation(self):
-        rng = random.Random(1)
-        for rank, radius in ((1, 4), (2, 3), (3, 2)):
-            ball = enumerate_ball(rank, radius)
-            X = random_gset(rng, 9, rank)
-            perms = [word_eval(word, X.action) for word in ball.words]
-            for x in range(X.size):
-                expected = [word for word, p in zip(ball.words, perms) if p(x) == x]
-                assert fingerprint(X.action, x, ball).words == tuple(expected)
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_scalar_evaluation(self, data):
+        # each point's fingerprint, every ball word evaluated letter by letter
+        make = data.draw(st.sampled_from([random_gset, involution_gset, sparse_gset]))
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        X = make(rng, data.draw(st.integers(1, 12)), data.draw(st.integers(1, 3)))
+        radius = data.draw(st.integers(0, 3))
+        ball = enumerate_ball(X.rank, radius)
+        perms = [expected_word_eval(word, X.action) for word in ball.words]
+        counts = Counter(tuple(word for word, p in zip(ball.words, perms) if p(x) == x)
+                         for x in range(X.size))
+        assert irs_of_gset(X, radius).masses == {
+            CylinderFingerprint.from_words(radius, words): Fraction(count, X.size)
+            for words, count in counts.items()}
 
     def test_membership_is_cached_without_changing_equality(self):
         ball = enumerate_ball(2, 2)
-        fp = fingerprint(trivial_gset(2, 1).action, 0, ball)
+        [fp] = irs_of_gset(trivial_gset(2, 1), 2).support()
         fresh = CylinderFingerprint(fp.radius, fp.words)
         assert all(word in fp for word in ball.words)
         assert w("aaa") not in fp
@@ -175,10 +175,15 @@ class TestIrsOfGSet:
             assert irs_of_gset(X, 2) == irs_of_gset(relabel(X, Perm(tuple(images))), 2)
 
     def test_restriction_consistency(self):
+        # the radius-1 marginal of the radius-3 distribution
         rng = random.Random(3)
         for _ in range(5):
             X = random_gset(rng, 6)
-            assert irs_of_gset(X, 3).restrict(1) == irs_of_gset(X, 1)
+            marginal: dict = {}
+            for fp, m in irs_of_gset(X, 3).masses.items():
+                small = CylinderFingerprint.from_words(1, (u for u in fp.words if len(u) <= 1))
+                marginal[small] = marginal.get(small, 0) + m
+            assert marginal == irs_of_gset(X, 1).masses
 
 
 class TestMixture:
@@ -450,11 +455,13 @@ class TestVershik:
 
 
 class TestSerialization:
-    def test_irs_json_lines_round_trip(self):
-        irs = irs_of_gset(disjoint_union(trivial_gset(2, 2), free_transitive_3()), 1)
-        text = irs.to_json_lines()
-        back = EmpiricalIRS.from_json_lines(text)
-        assert back == irs
+    def test_exact_masses_must_be_rational(self):
+        fp = CylinderFingerprint.from_words(1, [identity(2)])
+        with pytest.raises(ValueError, match="exact masses must be rational"):
+            EmpiricalIRS(1, {fp: 1.0}, exact=True)
+        for one in (1, Fraction(1), np.int64(1)):
+            assert EmpiricalIRS(1, {fp: one}, exact=True).to_json_lines() == \
+                '{"r": 1, "W": ["e"], "mass": "1/1"}\n'
 
     def test_sampled_rows_carry_counts_and_errors(self):
         import json
@@ -466,12 +473,3 @@ class TestSerialization:
             assert entry["n_samples"] == 500
             p = entry["mass"]
             assert entry["stderr"] == math.sqrt(p * (1 - p) / 500)
-
-    def test_sampled_json_lines_round_trip_byte_for_byte(self):
-        irs = vershik_irs([HALF, HALF], "alt:2", radius=2, mode="sampled",
-                          n_samples=300, seed=4)
-        text = irs.to_json_lines()
-        assert EmpiricalIRS.from_json_lines(text).to_json_lines() == text
-        small = irs.restrict(1)
-        assert (EmpiricalIRS.from_json_lines(small.to_json_lines()).to_json_lines()
-                == small.to_json_lines())

@@ -71,7 +71,7 @@ class TestAZElement:
     def test_support_bound(self, u):
         elem = az_oracle().evaluate(u)
         bound = len(u) + 1
-        assert all(abs(n) <= bound for n in elem.support())
+        assert all(abs(n) <= bound for n, _ in elem.sigma)
 
     def test_odd_sigma_rejected(self):
         with pytest.raises(ValueError):

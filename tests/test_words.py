@@ -146,7 +146,7 @@ class TestWordSet:
 class TestKernelFingerprint:
     def test_trivial_oracle_kills_everything(self):
         ball = enumerate_ball(2, 2)
-        ws = kernel_fingerprint(TrivialOracle(2), 2, ball=ball)
+        ws = kernel_fingerprint(TrivialOracle(2), 2)
         assert ws.members == frozenset(ball.words)
 
     def test_free_oracle_kills_nothing(self):
