@@ -8,20 +8,19 @@ survive in finitely many shallow factors.
 """
 
 from stabilitylab.harness import random_az_trivial_words
-from stabilitylab.marked import (az_oracle, convergence_table, marked_nu,
-                                 neumann_truncation, oracle_by_name, tail_defect)
+from stabilitylab.marked import (alt_oracle, az_oracle, convergence_table, marked_nu,
+                                 neumann_truncation, tail_defect)
 from stabilitylab.words import word_to_string
 
 target = az_oracle()
 
 print("nu against the enrichment of Z (scanned to radius 8):")
-rows = convergence_table([oracle_by_name(f"alt:{r}") for r in range(2, 9)],
-                         target, 8)
+rows = convergence_table([alt_oracle(r) for r in range(2, 9)], target, 8)
 for name, nu in rows:
     print(f"  {name:6s} nu = {str(nu):>4s}   distance <= {float(nu.distance):.5f}")
 
 # The shortest witness separating alt:2 from the limit is a^5.
-print("witness radius alt:2 vs az:", marked_nu(oracle_by_name("alt:2"), target, 5))
+print("witness radius alt:2 vs az:", marked_nu(alt_oracle(2), target, 5))
 
 # Tail defects: random words trivial in the limit, evaluated coordinatewise
 # in six alternating factors of growing rank.  Nontrivial coordinates only

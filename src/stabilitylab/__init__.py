@@ -26,7 +26,7 @@ from .perms import (GenTuple, Perm, alt_marking, ball_images,
                     hamming_distance, identity_perm, perm_from_cycles, word_eval)
 from .marked import (AZElement, DiagonalOracle, MarkedGroupOracle, alt_oracle,
                      az_oracle, convergence_table, marked_nu, neumann_truncation,
-                     oracle_by_name, tail_defect)
+                     tail_defect)
 from .irs import (CylinderFingerprint, EmpiricalIRS, FiniteGSet, disjoint_union,
                   irs_distance, irs_of_gset, mixture, pad_gset, point_mass_irs,
                   realize_irs_as_gset, trivial_gset, vershik_irs)

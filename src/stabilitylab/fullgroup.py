@@ -557,9 +557,11 @@ def fullgroup_irs_limit_check(sub: Substitution, generators, k: int, radius: int
                               seeds, measure: ErgodicMeasure) -> LimitCheckReport:
     """Compute the pushforward at several partition levels and compare.
 
-    The distributions agree up to measure tolerance; the report also checks
-    that marginalizing the k-fold tuple measure onto its first coordinate
-    reproduces the 1-point distribution.
+    The distributions agree up to measure tolerance.  The report's marginal
+    fields compare the 1-point distribution with the same atoms' fingerprints
+    weighted by m * T**(k - 1), where m is an atom's mass and T the summed atom
+    mass; the k-tuple measure is not read.  So the supports always match, and
+    the gap is (T**(k - 1) - 1) times a mass: it measures how far T is from 1.
     """
     gens = list(generators)
     seeds = list(seeds)
@@ -577,7 +579,7 @@ def fullgroup_irs_limit_check(sub: Substitution, generators, k: int, radius: int
     tv = tuple(tuple(float(irs_distance(a.irs, b.irs)) for b in levels)
                for a in levels)
 
-    # first-coordinate marginal of the k-tuple construction vs the 1-point IRS
+    # the 1-point IRS vs its atoms weighted by m * T**(k - 1) (see the docstring)
     partition, report = partitions[0]
     one = fullgroup_irs(partition, gens, 1, radius, measure, embedding=report)
     marginal = _first_coordinate_marginal(partition, k, radius, measure, report)

@@ -20,8 +20,8 @@ from .challenges import d_gen_bound, d_gen_exact
 from .fullgroup import (adapted_partition, fullgroup_irs_limit_check,
                         local_embedding, tower_gadgets)
 from .irs import irs_distance, tv_standard_error, vershik_irs
-from .marked import (az_oracle, convergence_table, neumann_truncation,
-                     oracle_by_name, tail_defect)
+from .marked import (alt_oracle, az_oracle, convergence_table, neumann_truncation,
+                     tail_defect)
 from .perms import GenTuple, Perm
 from .subshift import (ErgodicMeasure, kr_partition, partition_to_json,
                        substitution_by_name)
@@ -128,7 +128,7 @@ def run_alt_convergence(opts: dict) -> None:
     if opts["r_min"] > opts["r_max"]:
         raise ValueError(f"r_min must be <= r_max, got {opts['r_min']} > {opts['r_max']}")
     ranks = list(range(opts["r_min"], opts["r_max"] + 1))
-    oracles = [oracle_by_name(f"alt:{r}") for r in ranks]
+    oracles = [alt_oracle(r) for r in ranks]
     rows = []
     table = convergence_table(oracles, az_oracle(), opts["nu_radius"])
     for r, (name, nu) in zip(ranks, table):

@@ -413,28 +413,24 @@ def vershik_irs(alpha, target: str, radius: int = 2, mode: str = "exact",
 
 
 def _az_window_pairs(ball: Ball, window: int | None):
-    """Per ball word, the window indices (x, g(x)) with both ends inside."""
-    oracle = az_oracle()
-    elements = [oracle.evaluate(w) for w in ball.words]
-    needed = 0
-    for el in elements:
-        pts = [abs(el.shift)]
-        pts += [abs(n) for n, m in el.sigma] + [abs(m) for n, m in el.sigma]
-        needed = max(needed, max(pts))
+    """Per ball word, the window indices (x, g(x)) with both ends inside.
+
+    The ball's elements reach (by their shift or a moved point) exactly its
+    radius: in a word of length k each 3-cycle letter is conjugated by the
+    shift of the letters before it, at most k - 1, so it moves only points
+    within k of 0, and a^k shifts by k.
+    """
+    r = ball.radius
     if window is None:
-        window = needed
-    if window < needed:
-        raise ValueError(
-            f"window half-width {window} too small: ball elements reach {needed}")
+        window = r
+    if window < r:
+        raise ValueError(f"window half-width {window} too small: ball elements reach {r}")
     pairs = []
-    for el in elements:
-        src, dst = [], []
-        for x in range(-window, window + 1):
-            y = el.apply(x)
-            if -window <= y <= window:
-                src.append(x + window)
-                dst.append(y + window)
-        pairs.append((np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)))
+    for k, rows in enumerate(az_oracle().window_levels(r, window)):
+        images = rows[:, r - k:r - k + 2 * window + 1].astype(np.intp)
+        for row in images:
+            src = np.flatnonzero(np.abs(row) <= window)
+            pairs.append((src, row[src] + window))
     return pairs, 2 * window + 1
 
 

@@ -6,8 +6,8 @@ method returning an opaque element handle, ``is_identity(handle)``, and
 Evaluation is the homomorphism from the rank-d free group fixed by the
 marking.  Concrete oracles here: finite alternating groups with their
 standard 2-marking, the alternating enrichment of the integers (finitely
-supported even permutations extended by the shift), truncated diagonal
-products of finite factors, and the trivial/free endpoints.
+supported even permutations extended by the shift), and truncated diagonal
+products of finite factors.
 
 Two markings are compared through their ball-restricted kernels: nu is the
 largest radius on which the kernels agree, and 2**-nu is the marked-group
@@ -126,8 +126,7 @@ def _identity_mask(gens: GenTuple, ball: Ball) -> np.ndarray:
 
 
 class MarkedGroupOracle:
-    """Base class; subclasses fix rank, evaluate and is_identity, and may
-    override kernel_mask with a faster evaluation of the whole ball."""
+    """Base class; subclasses fix rank, evaluate, is_identity and kernel_mask."""
 
     rank: int
     name: str
@@ -142,48 +141,11 @@ class MarkedGroupOracle:
         return self.is_identity(self.evaluate(word))
 
     def kernel_mask(self, ball: Ball) -> np.ndarray:
-        """Boolean array over ``ball.words``: true where the word dies.
-
-        This scalar default evaluates one word at a time; it is the
-        reference that the overrides are tested against.
-        """
-        return np.fromiter((self.word_is_identity(w) for w in ball.words),
-                           dtype=bool, count=len(ball))
+        """Boolean array over ``ball.words``: true where the word dies."""
+        raise NotImplementedError
 
     def __repr__(self) -> str:
         return f"<oracle {self.name}>"
-
-
-class TrivialOracle(MarkedGroupOracle):
-    """The one-element group: every word dies."""
-
-    def __init__(self, rank: int = 2):
-        self.rank = rank
-        self.name = "trivial"
-
-    def evaluate(self, word):
-        if word.rank != self.rank:
-            raise ValueError("rank mismatch")
-        return None
-
-    def is_identity(self, handle) -> bool:
-        return True
-
-
-class FreeOracle(MarkedGroupOracle):
-    """The free group marked by its own basis: only the empty word dies."""
-
-    def __init__(self, rank: int = 2):
-        self.rank = rank
-        self.name = "free"
-
-    def evaluate(self, word):
-        if word.rank != self.rank:
-            raise ValueError("rank mismatch")
-        return word
-
-    def is_identity(self, handle) -> bool:
-        return handle.is_identity
 
 
 class AltOracle(MarkedGroupOracle):
@@ -228,6 +190,27 @@ class AZOracle(MarkedGroupOracle):
     def is_identity(self, handle) -> bool:
         return handle.is_identity
 
+    def window_levels(self, radius: int, half: int):
+        """Images of integer windows under the words of the radius-R ball.
+
+        Yields one array per level k = 0..R, rows in :func:`enumerate_ball`
+        order: row i holds w(x) for |x| <= half + R - k, where w is word i of
+        level k, so column j is the point x = j - (half + R - k).  A level-k
+        word is its parent followed by one letter, and w(x) = parent(letter(x))
+        with |letter(x)| <= |x| + 1, so the parent's window covers the child's.
+        Every level holds the window |x| <= half at columns R - k onwards.
+        """
+        top = half + radius
+        letters = {l: self.letter_element(l) for l in (1, -1, 2, -2)}
+
+        def columns(k):
+            width = top - k  # the parent's window has half-width width + 1
+            return {l: np.array([g.apply(x) + width + 1 for x in range(-width, width + 1)])
+                    for l, g in letters.items()}
+
+        root = np.arange(-top, top + 1, dtype=np.min_scalar_type(-3 * top))
+        return evaluate_levels(self.rank, radius, root, columns)
+
     def kernel_mask(self, ball: Ball) -> np.ndarray:
         """Kernel on a ball of radius R, evaluated on windows of integers.
 
@@ -237,30 +220,13 @@ class AZOracle(MarkedGroupOracle):
         shift letters and leaves none for the 3-cycle, so such a point is only
         shifted: w(x) = x + t, where t is the shift of w.  Fixing R + 1 forces
         t = 0, and then w fixes every |x| > R as well.
-
-        A level-k word is its parent followed by one letter, and w(x) =
-        parent(letter(x)) with |letter(x)| <= |x| + 1.  So level k holds the
-        images of the window |x| <= 2R + 1 - k, which still contains the
-        test window |x| <= R + 1 at level R.
         """
         if ball.rank != self.rank:
             raise ValueError(f"rank mismatch: ball {ball.rank} vs oracle {self.rank}")
         r = ball.radius
-        top = 2 * r + 1
-        letters = {l: self.letter_element(l) for l in (1, -1, 2, -2)}
-
-        def columns(k):
-            half = top - k  # the parent's window has half-width half + 1
-            return {l: np.array([g.apply(x) + half + 1 for x in range(-half, half + 1)])
-                    for l, g in letters.items()}
-
         test = np.arange(-(r + 1), r + 2)
-        root = np.arange(-top, top + 1, dtype=np.min_scalar_type(-3 * top))
-        masks = []
-        for k, rows in enumerate(evaluate_levels(2, r, root, columns)):
-            lo = top - k - (r + 1)
-            masks.append((rows[:, lo:lo + len(test)] == test).all(axis=1))
-        return np.concatenate(masks)
+        return np.concatenate([(rows[:, r - k:r - k + len(test)] == test).all(axis=1)
+                               for k, rows in enumerate(self.window_levels(r, r + 1))])
 
 
 class DiagonalOracle(MarkedGroupOracle):
@@ -297,22 +263,6 @@ def az_oracle() -> AZOracle:
 
 def alt_oracle(r: int) -> AltOracle:
     return AltOracle(r)
-
-
-def oracle_by_name(text: str) -> MarkedGroupOracle:
-    """CLI names: ``az``, ``alt:R``, ``neumann:OFFSET:LENGTH``, ``trivial``, ``free``."""
-    name, *fields = text.split(":")
-    if name == "az" and not fields:
-        return az_oracle()
-    if name == "alt" and len(fields) == 1:
-        return alt_oracle(int(fields[0]))
-    if name == "neumann" and len(fields) == 2:
-        return neumann_truncation(int(fields[0]), int(fields[1]))
-    if name == "trivial" and not fields:
-        return TrivialOracle()
-    if name == "free" and not fields:
-        return FreeOracle()
-    raise ValueError(f"unknown oracle name {text!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -252,8 +252,7 @@ def kernel_fingerprint(oracle, radius: int) -> WordSet:
 
     ``oracle`` needs ``rank`` and ``kernel_mask(ball)``, a boolean array over
     ``ball.words`` that is true where the word dies (see
-    :class:`stabilitylab.marked.MarkedGroupOracle`, whose scalar default uses
-    ``evaluate(word)`` and ``is_identity(handle)``).  The result contains the
+    :class:`stabilitylab.marked.MarkedGroupOracle`).  The result contains the
     empty word and is closed under inversion and under products that stay
     inside the ball.
     """

@@ -13,8 +13,8 @@ import numpy as np
 
 from stabilitylab.challenges import BoundResult, gen_norm
 from stabilitylab.irs import (CylinderFingerprint, EmpiricalIRS, _alt_like_marking,
-                              _az_window_pairs, _parse_alpha)
-from stabilitylab.marked import NuResult
+                              _parse_alpha)
+from stabilitylab.marked import MarkedGroupOracle, NuResult, az_oracle
 from stabilitylab.perms import (GenTuple, Perm, ball_images, generate_closure,
                                 identity_perm, word_eval)
 from stabilitylab.subshift import ClopenSet, KRPartition, Tower, is_partition
@@ -32,11 +32,53 @@ def expected_word_eval(word, gens) -> Perm:
     return out
 
 
+def expected_kernel_mask(oracle, ball) -> np.ndarray:
+    """The kernel over ``ball.words``, one ``word_is_identity`` per word."""
+    return np.fromiter((oracle.word_is_identity(w) for w in ball.words),
+                       dtype=bool, count=len(ball))
+
+
+class TrivialGroupOracle(MarkedGroupOracle):
+    """The one-element group: every word dies."""
+
+    name = "trivial"
+
+    def __init__(self, rank: int = 2):
+        self.rank = rank
+
+    def evaluate(self, word):
+        return None
+
+    def is_identity(self, handle) -> bool:
+        return True
+
+    def kernel_mask(self, ball) -> np.ndarray:
+        return np.ones(len(ball), dtype=bool)
+
+
+class FreeGroupOracle(MarkedGroupOracle):
+    """The free group marked by its own basis: only the empty word dies."""
+
+    name = "free"
+
+    def __init__(self, rank: int = 2):
+        self.rank = rank
+
+    def evaluate(self, word):
+        return word
+
+    def is_identity(self, handle) -> bool:
+        return handle.is_identity
+
+    def kernel_mask(self, ball) -> np.ndarray:
+        return np.arange(len(ball)) == 0
+
+
 def expected_nu(o1, o2, r_max) -> NuResult:
     """nu from the symmetric difference of the two kernels as word sets, each
     kernel found by evaluating the ball one word at a time."""
     ball = enumerate_ball(o1.rank, r_max)
-    k1, k2 = (frozenset(w for w in ball.words if o.word_is_identity(w))
+    k1, k2 = (frozenset(itertools.compress(ball.words, expected_kernel_mask(o, ball)))
               for o in (o1, o2))
     diff = k1 ^ k2
     if not diff:
@@ -194,15 +236,49 @@ def expected_fingerprint_masses(ball, blocks) -> dict:
     return masses
 
 
+def expected_az_reach(ball) -> int:
+    """The largest |shift|, moved point or image among the ``AZElement``
+    products of the ball words."""
+    oracle, reach = az_oracle(), 0
+    for word in ball.words:
+        el = oracle.evaluate(word)
+        reach = max([reach, abs(el.shift)] + [abs(n) for pair in el.sigma for n in pair])
+    return reach
+
+
+def expected_az_window_pairs(ball, window):
+    """Per ball word, the window indices (x, g(x)) with both ends inside, with
+    g the word's ``AZElement`` product applied one point at a time; the
+    window defaults to the reach and may not be smaller."""
+    needed = expected_az_reach(ball)
+    if window is None:
+        window = needed
+    if window < needed:
+        raise ValueError(
+            f"window half-width {window} too small: ball elements reach {needed}")
+    oracle, pairs = az_oracle(), []
+    for word in ball.words:
+        el = oracle.evaluate(word)
+        src, dst = [], []
+        for x in range(-window, window + 1):
+            y = el.apply(x)
+            if -window <= y <= window:
+                src.append(x + window)
+                dst.append(y + window)
+        pairs.append((np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)))
+    return pairs, 2 * window + 1
+
+
 def expected_sampled_vershik(alpha, target, radius, n_samples, seed,
                              window=None) -> EmpiricalIRS:
     """The sampled coloring-stabilizer IRS with colorings drawn by
-    ``Generator.choice``, rows from ``expected_fixation_rows`` and counts
-    from ``expected_fingerprint_masses``."""
+    ``Generator.choice``, AZ pairs from ``expected_az_window_pairs``, rows
+    from ``expected_fixation_rows`` and counts from
+    ``expected_fingerprint_masses``."""
     weights = _parse_alpha(alpha)
     ball = enumerate_ball(2, radius)
     if target == "az":
-        pairs, size = _az_window_pairs(ball, window)
+        pairs, size = expected_az_window_pairs(ball, window)
     else:
         marking = _alt_like_marking(int(target.split(":")[1]))
         size = marking.degree

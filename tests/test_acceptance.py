@@ -21,8 +21,8 @@ from stabilitylab.harness import random_az_trivial_words
 from stabilitylab.irs import (irs_distance, irs_of_gset, mixture, pad_gset,
                               point_mass_irs, realize_irs_as_gset,
                               tv_standard_error, vershik_irs)
-from stabilitylab.marked import (az_oracle, convergence_table, neumann_truncation,
-                                 oracle_by_name, tail_defect)
+from stabilitylab.marked import (alt_oracle, az_oracle, convergence_table,
+                                 neumann_truncation, tail_defect)
 from stabilitylab.perms import (Perm, alt_marking, generate_closure,
                                 hamming_distance)
 from stabilitylab.subshift import (ErgodicMeasure, cylinder, fibonacci,
@@ -72,7 +72,7 @@ def test_criterion_02_closure_sizes():
 
 def test_criterion_03_marked_convergence():
     with criterion(3, "kernel agreement radius grows along the alternating family"):
-        oracles = [oracle_by_name(f"alt:{r}") for r in range(2, 9)]
+        oracles = [alt_oracle(r) for r in range(2, 9)]
         rows = convergence_table(oracles, az_oracle(), 8)
         values = [nu.value for _, nu in rows]
         assert values == sorted(values)

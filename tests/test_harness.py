@@ -217,7 +217,7 @@ class TestCLI:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     @pytest.mark.parametrize("hash_seed", ["0", "1", "4242"])
-    def test_fullgroup_outputs_match_pinned_digests(self, hash_seed, tmp_path):
+    def test_cli_outputs_match_pinned_digests(self, hash_seed, tmp_path):
         # string hashing is seeded per interpreter, so each seed gets its own
         runs = [argv + ["--out", str(tmp_path / name)] for name, argv in PINNED_RUNS.items()]
         src = str(Path(stabilitylab.__file__).parents[1])

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (expected_atomic_irs, expected_fingerprint_masses,
+from oracles import (expected_atomic_irs, expected_az_reach,
+                     expected_az_window_pairs, expected_fingerprint_masses,
                      expected_fixation_rows, expected_sampled_vershik,
                      expected_word_eval, involution_gset, random_gset, sparse_gset)
 
@@ -17,7 +18,7 @@ from stabilitylab.irs import (CylinderFingerprint, EmpiricalIRS, FiniteGSet,
                               irs_distance, irs_of_gset, mixture, pad_gset,
                               point_mass_irs, realize_irs_as_gset, relabel,
                               trivial_gset, vershik_irs)
-from stabilitylab.irs import _SAMPLE_BLOCK, _fixation_rows
+from stabilitylab.irs import _SAMPLE_BLOCK, _az_window_pairs, _fixation_rows
 from stabilitylab.perms import (GenTuple, Perm, alt_marking, generate_closure,
                                 identity_perm, word_eval)
 from stabilitylab.words import (ResourceLimitError, enumerate_ball, identity,
@@ -452,6 +453,34 @@ class TestVershik:
         monkeypatch.setattr("stabilitylab.irs._ENUMERATION_CAP", 2 ** 5 - 1)
         with pytest.raises(ResourceLimitError, match="enumeration cap"):
             vershik_irs([HALF, HALF], "alt:2", radius=1, mode="exact")
+
+
+class TestAZWindowPairs:
+    """The level-wise window evaluator against per-word ``AZElement`` products."""
+
+    @pytest.mark.parametrize("radius", range(5))
+    def test_matches_per_word_products(self, radius):
+        ball = enumerate_ball(2, radius)
+        for window in (radius, radius + 3, 40):
+            pairs, size = _az_window_pairs(ball, window)
+            want_pairs, want_size = expected_az_window_pairs(ball, window)
+            assert size == want_size == 2 * window + 1
+            assert len(pairs) == len(want_pairs) == len(ball)
+            for (src, dst), (want_src, want_dst) in zip(pairs, want_pairs):
+                assert src.dtype == dst.dtype == np.intp
+                assert np.array_equal(src, want_src) and np.array_equal(dst, want_dst)
+
+    @pytest.mark.parametrize("radius", range(7))
+    def test_reach_is_the_radius(self, radius):
+        assert expected_az_reach(enumerate_ball(2, radius)) == radius
+
+    def test_default_window_is_the_radius(self):
+        assert _az_window_pairs(enumerate_ball(2, 3), None)[1] == 7
+
+    def test_window_below_the_reach(self):
+        with pytest.raises(ValueError, match="window half-width 2 too small: "
+                                             "ball elements reach 3"):
+            _az_window_pairs(enumerate_ball(2, 3), 2)
 
 
 class TestSerialization:

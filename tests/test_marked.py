@@ -1,14 +1,13 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import expected_nu
+from oracles import (FreeGroupOracle, TrivialGroupOracle, expected_kernel_mask,
+                     expected_nu)
 
 from stabilitylab import words
-from stabilitylab.marked import (AZ_IDENTITY, DiagonalOracle, FreeOracle,
-                                 MarkedGroupOracle, TrivialOracle, alt_oracle,
+from stabilitylab.marked import (AZ_IDENTITY, DiagonalOracle, alt_oracle,
                                  az_from_cycles, az_oracle, az_shift, convergence_table,
-                                 marked_nu, neumann_truncation, oracle_by_name,
-                                 tail_defect)
+                                 marked_nu, neumann_truncation, tail_defect)
 from stabilitylab.perms import GenTuple, alt_marking
 from stabilitylab.words import (ResourceLimitError, ball_size, enumerate_ball,
                                 identity, kernel_fingerprint, reduce,
@@ -108,7 +107,7 @@ class TestMarkedNu:
 
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):
-            marked_nu(TrivialOracle(3), az_oracle(), 2)
+            marked_nu(TrivialGroupOracle(3), az_oracle(), 2)
 
     def test_symmetry_and_ultrametric(self):
         oracles = [alt_oracle(2), alt_oracle(3), alt_oracle(4), az_oracle()]
@@ -157,53 +156,50 @@ class TestConvergenceTable:
             ("alt:5", 10, True), ("alt:6", 10, True)]
 
 
-oracle_names_st = st.one_of(
-    st.integers(2, 7).map(lambda r: f"alt:{r}"),
-    st.builds(lambda o, l: f"neumann:{o}:{l}", st.integers(0, 2), st.integers(1, 3)),
-    st.sampled_from(["az", "trivial", "free"]))
+# the trivial and free oracles put the first kernel difference at length 1,
+# which makes nu = 0
+oracles_st = st.sampled_from(
+    [alt_oracle(r) for r in range(2, 8)]
+    + [neumann_truncation(o, l) for o in range(3) for l in range(1, 4)]
+    + [az_oracle(), TrivialGroupOracle(), FreeGroupOracle()])
 
 
 class TestNuOracle:
     """nu read off the kernel masks equals nu from the word-set kernels."""
 
     @settings(max_examples=25, deadline=None)
-    @given(oracle_names_st, oracle_names_st, st.integers(0, 6))
-    def test_marked_nu(self, a, b, r_max):
-        o1, o2 = oracle_by_name(a), oracle_by_name(b)
+    @given(oracles_st, oracles_st, st.integers(0, 6))
+    def test_marked_nu(self, o1, o2, r_max):
         assert marked_nu(o1, o2, r_max) == expected_nu(o1, o2, r_max)
 
     @settings(max_examples=15, deadline=None)
-    @given(st.lists(oracle_names_st, min_size=1, max_size=4), oracle_names_st,
+    @given(st.lists(oracles_st, min_size=1, max_size=4), oracles_st,
            st.integers(0, 6))
-    def test_convergence_table(self, names, target, r_max):
-        oracles = [oracle_by_name(n) for n in names]
-        target = oracle_by_name(target)
+    def test_convergence_table(self, oracles, target, r_max):
         assert convergence_table(oracles, target, r_max) == [
             (o.name, expected_nu(o, target, r_max)) for o in oracles]
 
 
 class TestKernelMask:
-    """Each override agrees with the scalar default of the base class."""
+    """Each override agrees with the word-by-word scalar reference."""
 
     @pytest.mark.parametrize("r", range(2, 9))
     def test_alt(self, r):
         ball = enumerate_ball(2, 6)
         oracle = alt_oracle(r)
-        assert (oracle.kernel_mask(ball) ==
-                MarkedGroupOracle.kernel_mask(oracle, ball)).all()
+        assert (oracle.kernel_mask(ball) == expected_kernel_mask(oracle, ball)).all()
 
     @pytest.mark.parametrize("radius", range(9))
     def test_az(self, radius):
         ball = enumerate_ball(2, radius)
         oracle = az_oracle()
-        assert (oracle.kernel_mask(ball) ==
-                MarkedGroupOracle.kernel_mask(oracle, ball)).all()
+        assert (oracle.kernel_mask(ball) == expected_kernel_mask(oracle, ball)).all()
 
     def test_neumann_truncation(self):
         ball = enumerate_ball(2, 6)
         oracle = neumann_truncation(0, 4)
         mask = oracle.kernel_mask(ball)
-        assert (mask == MarkedGroupOracle.kernel_mask(oracle, ball)).all()
+        assert (mask == expected_kernel_mask(oracle, ball)).all()
         assert mask.sum() > 1  # the factors share kernel words beyond e
 
     def test_rank_mismatch(self):
@@ -254,17 +250,3 @@ class TestDiagonal:
         assert all(v.saturated for v in values)
         assert [v.value for v in values] == sorted(v.value for v in values)
 
-
-class TestOracleNames:
-    def test_parse(self):
-        assert oracle_by_name("az").name == "az"
-        assert oracle_by_name("alt:4").name == "alt:4"
-        assert oracle_by_name("neumann:1:3").rank == 2
-        assert oracle_by_name("neumann:1:3").name == "diagonal[3]"
-        assert isinstance(oracle_by_name("trivial"), TrivialOracle)
-        assert isinstance(oracle_by_name("free"), FreeOracle)
-        # every name takes exactly its own number of fields
-        for text in ("nope:1", "az:3", "free:x", "trivial:7", "alt", "alt:4:1",
-                     "neumann:1", "neumann:1:3:5"):
-            with pytest.raises(ValueError, match="unknown oracle name"):
-                oracle_by_name(text)

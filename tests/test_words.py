@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import FreeGroupOracle, TrivialGroupOracle
 
 from stabilitylab import words
-from stabilitylab.marked import FreeOracle, TrivialOracle, alt_oracle, az_oracle
+from stabilitylab.marked import alt_oracle, az_oracle
 from stabilitylab.words import (Ball, ReducedWord, ResourceLimitError, WordSet,
                                 ball_size, enumerate_ball, identity,
                                 kernel_fingerprint, reduce, word_from_string,
@@ -146,11 +147,11 @@ class TestWordSet:
 class TestKernelFingerprint:
     def test_trivial_oracle_kills_everything(self):
         ball = enumerate_ball(2, 2)
-        ws = kernel_fingerprint(TrivialOracle(2), 2)
+        ws = kernel_fingerprint(TrivialGroupOracle(2), 2)
         assert ws.members == frozenset(ball.words)
 
     def test_free_oracle_kills_nothing(self):
-        ws = kernel_fingerprint(FreeOracle(2), 2)
+        ws = kernel_fingerprint(FreeGroupOracle(2), 2)
         assert ws.members == frozenset({identity(2)})
 
     def test_alt2_contains_a5(self):
