@@ -32,12 +32,13 @@ print("cycle vs trivial, identity bijection:",
       gen_norm(range(5), cycle, trivial_gset(2, 5)))
 print("exhaustive minimum:", d_gen_exact(cycle, trivial_gset(2, 5)))
 
-# Oracle vs heuristic on random instances.
+# Oracle vs heuristic on random instances; the exhaustive minimum is a proven
+# floor, so the restarts stop as soon as the heuristic meets it.
 agreements = 0
 for i in range(20):
     x, y = random_gset(6), random_gset(6)
     exact = d_gen_exact(x, y)
-    bound = d_gen_bound(x, y, restarts=30, seed=i)
+    bound = d_gen_bound(x, y, restarts=30, seed=i, floor=exact)
     agreements += bound.value == exact
     if i < 5:
         print(f"instance {i}: exact {exact}  heuristic {bound.value}")

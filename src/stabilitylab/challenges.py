@@ -18,6 +18,7 @@ trials and again only after a swap in that row is taken.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -83,7 +84,7 @@ class BoundResult:
 
 
 def d_gen_bound(x: FiniteGSet, y: FiniteGSet, restarts: int = 30,
-                seed: int = 0) -> BoundResult:
+                seed: int = 0, floor: Fraction = Fraction(0)) -> BoundResult:
     """Heuristic upper bound on the minimal generator defect, with witness.
 
     Start from a greedy match on radius-2 fixation signatures (plus random
@@ -92,10 +93,21 @@ def d_gen_bound(x: FiniteGSet, y: FiniteGSet, restarts: int = 30,
     bijection, hence never below the exhaustive minimum; more restarts never
     increase it.  ``restarts`` counts the starts, the greedy one included, so
     ``restarts < 1`` raises ``ValueError``.
+
+    ``floor`` is a defect the caller has proved no bijection beats, such as
+    ``d_gen_exact(x, y)``: the starts and sweeps stop once the best defect is
+    at most ``floor``, and the random starts after the stop are never drawn.
+    With ``floor`` at most the exact minimum the result equals that of
+    ``floor=0``; a higher floor still returns a valid upper bound with its
+    witness, only a weaker one.  A floor outside [0, 1] raises ``ValueError``.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if not 0 <= floor <= 1:
+        raise ValueError(f"floor must lie in [0, 1], got {floor}")
     size, rank, xs, ys = _pair_images(x, y)
+    # the largest mismatch count whose defect is at most the floor
+    stop = math.floor(floor * size * rank)
     rng = random.Random(seed)
     ball = enumerate_ball(rank, 2)
     # agree[p][q]: ball words whose fixation of p in x and of q in y agree
@@ -152,7 +164,7 @@ def d_gen_bound(x: FiniteGSet, y: FiniteGSet, restarts: int = 30,
     def descend(f):
         count = _mismatches(f, xs, ys)
         improved = True
-        while improved and count > 0:
+        while improved and count > stop:
             improved = False
             for p in range(size - 1):
                 terms = row_terms(f, p)
@@ -169,17 +181,20 @@ def d_gen_bound(x: FiniteGSet, y: FiniteGSet, restarts: int = 30,
                                  f"a recount gives {recount}")
         return count, f
 
-    starts = [greedy]
-    for _ in range(restarts - 1):
-        f = list(range(size))
-        rng.shuffle(f)
-        starts.append(f)
+    def starts():
+        """The greedy start, then shuffles drawn only when asked for."""
+        yield greedy
+        for _ in range(restarts - 1):
+            f = list(range(size))
+            rng.shuffle(f)
+            yield f
+
     best, best_f = None, None
-    for f in starts:
-        count, f = descend(list(f))
+    for f in starts():
+        count, f = descend(f)
         if best is None or count < best:
             best, best_f = count, tuple(f)
-        if best == 0:
+        if best <= stop:
             break
     return BoundResult(Fraction(best, size * rank), best_f)
 

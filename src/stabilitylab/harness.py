@@ -263,7 +263,8 @@ def run_dgen(opts: dict) -> None:
     for i in range(opts["instances"]):
         x, y = rand_gset(), rand_gset()
         exact = d_gen_exact(x, y)
-        bound = d_gen_bound(x, y, restarts=opts["restarts"], seed=i).value
+        bound = d_gen_bound(x, y, restarts=opts["restarts"], seed=i,
+                            floor=exact).value
         agree = bound == exact
         agreements += agree
         rows.append([i, str(exact), str(bound), int(agree)])

@@ -165,10 +165,10 @@ class TestDGenExact:
 
 
 @st.composite
-def action_pairs(draw):
+def action_pairs(draw, max_size=12):
     """Two equal-size actions: random permutations, sparse cycles, involutions,
     or an action and a relabelling of it (defect 0, so the starts stop early)."""
-    size, rank = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    size, rank = draw(st.integers(1, max_size)), draw(st.integers(1, 3))
     kind = draw(st.sampled_from(["permutations", "sparse", "involution", "relabelling"]))
     if kind in ("sparse", "involution"):
         make = sparse_gset if kind == "sparse" else involution_gset
@@ -188,6 +188,56 @@ class TestDGenBound:
         x, y = pair
         assert (d_gen_bound(x, y, restarts, seed)
                 == expected_d_gen_bound(x, y, restarts, seed))
+
+    @settings(max_examples=40, deadline=None)
+    @given(action_pairs(max_size=7), st.sampled_from([1, 5, 30]),
+           st.integers(0, 2**16))
+    def test_floor_at_the_exact_minimum_changes_nothing(self, pair, restarts, seed):
+        x, y = pair
+        floored = d_gen_bound(x, y, restarts, seed, floor=d_gen_exact(x, y))
+        assert floored == d_gen_bound(x, y, restarts, seed)
+        assert floored == expected_d_gen_bound(x, y, restarts, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(action_pairs(max_size=7),
+           st.one_of(st.just(Fraction(1)), st.fractions(0, 1)), st.integers(0, 2**16))
+    def test_floor_above_the_minimum_keeps_a_witness(self, pair, floor, seed):
+        x, y = pair
+        res = d_gen_bound(x, y, 5, seed, floor=floor)
+        assert gen_norm(res.bijection, x, y) == res.value >= d_gen_exact(x, y)
+        # the stop only cuts the search short once the floor is met
+        full = d_gen_bound(x, y, 5, seed).value
+        assert res.value == full or full <= res.value <= floor
+
+    @pytest.mark.parametrize("floor", [Fraction(-1, 10), Fraction(11, 10)])
+    def test_rejects_floor_outside_unit_interval(self, floor):
+        # the floor is checked before the pair: a size mismatch is not reached
+        with pytest.raises(ValueError, match="floor must lie in"):
+            d_gen_bound(cycle_gset(4), cycle_gset(5), floor=floor)
+
+    @pytest.mark.parametrize("pair", ["cycle-vs-trivial", "random-7"])
+    def test_floor_met_by_the_greedy_start_runs_one_descent(self, pair, monkeypatch):
+        if pair == "cycle-vs-trivial":
+            X, Y = cycle_gset(4), trivial_gset(2, 4)
+        else:
+            rng = random.Random(7)
+            X, Y = random_gset(rng, 6), random_gset(rng, 6)
+        exact = d_gen_exact(X, Y)
+        assert exact > 0 and d_gen_bound(X, Y, restarts=1).value == exact
+        calls = []
+        honest = challenges._mismatches
+
+        def counted(f, xs, ys):
+            calls.append(f)
+            return honest(f, xs, ys)
+
+        # each descent counts its start and recounts its end
+        monkeypatch.setattr(challenges, "_mismatches", counted)
+        floored = d_gen_bound(X, Y, restarts=30, floor=exact)
+        assert len(calls) == 2
+        del calls[:]
+        assert d_gen_bound(X, Y, restarts=30) == floored
+        assert len(calls) == 60
 
     def test_identical_sets(self):
         rng = random.Random(7)
