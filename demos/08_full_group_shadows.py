@@ -50,6 +50,6 @@ for fp in irs.support():
 check = fullgroup_irs_limit_check(fib, [g1, g2], 2, 1, ["aa", "ab"], measure)
 print("two-level agreement (k=2): max TV =",
       max(max(row) for row in check.tv_matrix))
-print("1-point IRS vs atom masses times (total mass)^(k-1), same support:",
+print("per ball word, P_2(w in W) vs P_1(w in W)^2, same support:",
       check.marginal_supports_match,
       f"(gap {check.marginal_max_gap:.2e})")

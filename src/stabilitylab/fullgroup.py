@@ -558,10 +558,12 @@ def fullgroup_irs_limit_check(sub: Substitution, generators, k: int, radius: int
     """Compute the pushforward at several partition levels and compare.
 
     The distributions agree up to measure tolerance.  The report's marginal
-    fields compare the 1-point distribution with the same atoms' fingerprints
-    weighted by m * T**(k - 1), where m is an atom's mass and T the summed atom
-    mass; the k-tuple measure is not read.  So the supports always match, and
-    the gap is (T**(k - 1) - 1) times a mass: it measures how far T is from 1.
+    fields read, for each ball word w, the mass p_k(w) of the fingerprints
+    containing w in the first level's k-tuple distribution and p_1(w) in the
+    1-point distribution on the same atoms.  A k-tuple's fingerprint holds w
+    iff w fixes every coordinate, and tuple weights are products of atom
+    masses, so p_k(w) = p_1(w)**k up to rounding: the gap is the largest
+    |p_k(w) - p_1(w)**k|, and the supports are the words with p > 0.
     """
     gens = list(generators)
     seeds = list(seeds)
@@ -579,22 +581,15 @@ def fullgroup_irs_limit_check(sub: Substitution, generators, k: int, radius: int
     tv = tuple(tuple(float(irs_distance(a.irs, b.irs)) for b in levels)
                for a in levels)
 
-    # the 1-point IRS vs its atoms weighted by m * T**(k - 1) (see the docstring)
+    # per ball word, P_k(w in W) against P_1(w in W)**k (see the docstring)
     partition, report = partitions[0]
     one = fullgroup_irs(partition, gens, 1, radius, measure, embedding=report)
-    marginal = _first_coordinate_marginal(partition, k, radius, measure, report)
-    gap = 0.0
-    for fp in set(one.masses) | set(marginal.masses):
-        gap = max(gap, abs(one.masses.get(fp, 0.0) - marginal.masses.get(fp, 0.0)))
-    supports = {fp for fp, m in one.masses.items() if m > 0} == \
-               {fp for fp, m in marginal.masses.items() if m > 0}
+    p_k, p_1 = (_word_marginals(irs, report.ball) for irs in (levels[0].irs, one))
+    gap = max(abs(a - b ** k) for a, b in zip(p_k, p_1))
+    supports = [a > 0 for a in p_k] == [b > 0 for b in p_1]
     return LimitCheckReport(k, radius, tuple(levels), tv, gap, supports)
 
 
-def _first_coordinate_marginal(partition, k, radius, measure, report) -> EmpiricalIRS:
-    ball, fixed, atom_mass = _atom_fixation(partition, radius, measure, report)
-    total = sum(atom_mass)
-    masses = fingerprint_masses(
-        ball, [(fixed, [m * total ** (k - 1) for m in atom_mass])])
-    slack = k * len(atom_mass) * measure.tolerance + 1e-9
-    return EmpiricalIRS(radius, masses, exact=False, sum_tolerance=slack)
+def _word_marginals(irs: EmpiricalIRS, ball) -> list[float]:
+    """Per ball word, the summed mass of the fingerprints containing it."""
+    return [sum(m for fp, m in irs.masses.items() if word in fp) for word in ball.words]

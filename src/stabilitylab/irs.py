@@ -434,22 +434,53 @@ def _az_window_pairs(ball: Ball, window: int | None):
     return pairs, 2 * window + 1
 
 
-def _fixation_rows(colorings, pairs) -> np.ndarray:
+def _orbit_sets(pairs):
+    """The words' sets of unordered moved pairs {x, g(x)}, numbered by first
+    occurrence: the (x, y) index arrays, x < y, of each distinct set, and the
+    number of each word's set.  A coloring is fixed by a word iff it is
+    constant on every pair of the word's set, so words with one set (a word
+    and its inverse, say) have one fixation row; the identity's set is empty.
+    All words are keyed in one pass: each moved pair gets the code
+    x * span + y, and the (word, code) list is sorted and stripped of repeats."""
+    src, dst = (np.concatenate([pair[i] for pair in pairs]).astype(np.intp) for i in (0, 1))
+    span = 1 + int(max(src.max(initial=0), dst.max(initial=0)))
+    moved = src != dst
+    word = np.repeat(np.arange(len(pairs)), [len(pair[0]) for pair in pairs])[moved]
+    codes = (np.minimum(src, dst) * span + np.maximum(src, dst))[moved]
+    order = np.lexsort((codes, word))
+    word, codes = word[order], codes[order]
+    new = np.ones(len(codes), dtype=bool)
+    new[1:] = (word[1:] != word[:-1]) | (codes[1:] != codes[:-1])
+    word, codes = word[new], codes[new]
+    bounds = np.searchsorted(word, np.arange(len(pairs) + 1)).tolist()
+    number: dict = {}
+    sets, word_set = [], []
+    for lo, hi in zip(bounds, bounds[1:]):
+        word_set.append(number.setdefault(codes[lo:hi].tobytes(), len(number)))
+        if word_set[-1] == len(sets):
+            sets.append(np.divmod(codes[lo:hi], span))
+    return sets, np.array(word_set, dtype=np.intp)
+
+
+def _fixation_rows(by_point, orbits) -> np.ndarray:
     """Row per coloring, column per word: is the coloring constant along
-    every (x, g(x)) pair of the word?  The colorings are transposed once to
-    one row per point and cut into bit planes of the color index, each packed
-    eight colorings to a byte; a word ORs, over every plane and every pair it
-    moves (none for the identity), the XOR of the pair's two ends."""
-    by_point = np.ascontiguousarray(colorings.T)
-    planes = [np.packbits(by_point & (1 << b), axis=1)
-              for b in range(max(1, int(colorings.max(initial=0)).bit_length()))]
-    differs = np.zeros((len(pairs), planes[0].shape[1]), dtype=np.uint8)
-    for j, (src, dst) in enumerate(pairs):
-        moved = src != dst
-        if moved.any():
+    every pair of the word's orbit set?  ``by_point`` holds the colorings one
+    row per point, and ``orbits`` is what :func:`_orbit_sets` gives for the
+    words.  The colorings are cut into bit planes of the color index, each
+    packed eight colorings to a byte; each orbit set ORs, over every plane and
+    every pair (none for the identity), the XOR of the pair's two ends, and
+    each word copies its set's row."""
+    sets, word_set = orbits
+    # with one plane the colors are 0 and 1, so the colorings are that plane
+    bits = max(1, int(by_point.max(initial=0)).bit_length())
+    planes = [np.packbits(by_point if bits == 1 else by_point & (1 << b), axis=1)
+              for b in range(bits)]
+    differs = np.zeros((len(sets), planes[0].shape[1]), dtype=np.uint8)
+    for j, (x, y) in enumerate(sets):
+        if len(x):
             for plane in planes:
-                differs[j] |= np.bitwise_or.reduce(plane[src[moved]] ^ plane[dst[moved]])
-    fixed = np.unpackbits(~differs, axis=1, count=len(colorings)).view(bool)
+                differs[j] |= np.bitwise_or.reduce(plane[x] ^ plane[y])
+    fixed = np.unpackbits(~differs[word_set], axis=1, count=by_point.shape[1]).view(bool)
     return np.ascontiguousarray(fixed.T)
 
 
@@ -458,6 +489,7 @@ def _vershik(weights, pairs, size, ball, mode, n_samples, seed) -> EmpiricalIRS:
     ``pairs[j]`` holds the (x, g(x)) index arrays of ball word j."""
     n_colors = len(weights)
     dtype = np.min_scalar_type(n_colors - 1)
+    orbits = _orbit_sets(pairs)
     if mode == "exact":
         if n_colors ** size > _ENUMERATION_CAP:
             raise ResourceLimitError(
@@ -471,7 +503,7 @@ def _vershik(weights, pairs, size, ball, mode, n_samples, seed) -> EmpiricalIRS:
             while chunk := list(itertools.islice(colorings, 1 << 14)):
                 masses = [math.prod(weights[c] for c in coloring)
                           for coloring in chunk]
-                yield _fixation_rows(np.array(chunk, dtype=dtype), pairs), masses
+                yield _fixation_rows(np.array(chunk, dtype=dtype).T, orbits), masses
 
         masses = fingerprint_masses(ball, blocks())
         return EmpiricalIRS(ball.radius, masses, exact=True)
@@ -487,14 +519,25 @@ def _vershik(weights, pairs, size, ball, mode, n_samples, seed) -> EmpiricalIRS:
         cdf = (p / p.sum()).cumsum()
         cdf /= cdf[-1]
 
-        # drawn in row blocks, which continue one stream, to bound memory; a
-        # block's draws are freed before the next block is drawn
+        # drawn in row blocks, which continue one stream, to bound memory; each
+        # block reuses three buffers of this call: its uniforms, one edge
+        # comparison and its colorings, all one row per coloring.  Compared,
+        # the uniforms are spent, and their buffer takes the colorings
+        # transposed to one row per point
+        rows = min(_SAMPLE_BLOCK, n_samples)
+        uniforms = np.empty((rows, size))
+        above = np.empty((rows, size), dtype=bool)
+        colorings = np.empty((rows, size), dtype=dtype)
+
         def block(count):
-            u = rng.random((count, size))
-            colorings = np.zeros(u.shape, dtype=dtype)
+            u = rng.random(out=uniforms[:count])
+            colored = colorings[:count]
+            colored.fill(0)
             for edge in cdf[:-1]:
-                colorings += u >= edge
-            return _fixation_rows(colorings, pairs), np.ones(count, dtype=np.int64)
+                colored += np.greater_equal(u, edge, out=above[:count])
+            by_point = uniforms.reshape(-1).view(dtype)[:size * count].reshape(size, count)
+            by_point[...] = colored.T
+            return _fixation_rows(by_point, orbits), np.ones(count, dtype=np.int64)
 
         counts = fingerprint_masses(ball, (block(min(_SAMPLE_BLOCK, n_samples - start))
                                            for start in range(0, n_samples, _SAMPLE_BLOCK)))

@@ -12,6 +12,7 @@ from stabilitylab.fullgroup import (TableElement, adapted_partition,
                                     fullgroup_irs_limit_check, identity_element,
                                     local_embedding, point_inside,
                                     sample_points, three_cycle, tower_gadgets)
+from stabilitylab.irs import CylinderFingerprint, EmpiricalIRS
 from stabilitylab.subshift import (ClopenSet, ErgodicMeasure, KRPartition, chacon,
                                    cylinder, fibonacci, full_set, kr_partition,
                                    thue_morse)
@@ -561,3 +562,26 @@ class TestLimitCheck:
         atoms = report.levels[0].atom_count
         assert report.marginal_supports_match
         assert report.marginal_max_gap <= 2 * 2 * atoms * 1e-9
+
+    def test_corrupted_tuple_mass_widens_the_marginal_gap(self, gadgets, measure,
+                                                          monkeypatch):
+        # move mass off the heaviest nontrivial pair fingerprint onto the trivial
+        # one: P_2(w in W) drops by delta for each nontrivial word w of it
+        delta = 1e-3
+        clean = fullgroup_irs_limit_check(FIB, gadgets, 2, 1, ["aa"], measure)
+
+        def corrupted(partition, generators, k, radius, measure, embedding):
+            irs = fullgroup_irs(partition, generators, k, radius, measure, embedding)
+            if k == 1:
+                return irs
+            heavy = max((fp for fp in irs.masses if len(fp) > 1), key=irs.masses.get)
+            trivial = CylinderFingerprint.from_words(radius, [identity(2)])
+            masses = dict(irs.masses)
+            masses[heavy] -= delta
+            masses[trivial] = masses.get(trivial, 0.0) + delta
+            return EmpiricalIRS(radius, masses, exact=False, sum_tolerance=1e-6)
+
+        monkeypatch.setattr(fullgroup, "fullgroup_irs", corrupted)
+        report = fullgroup_irs_limit_check(FIB, gadgets, 2, 1, ["aa"], measure)
+        assert clean.marginal_max_gap < 1e-12
+        assert report.marginal_max_gap == pytest.approx(delta, rel=1e-6)

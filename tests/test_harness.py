@@ -77,13 +77,13 @@ PINNED_DIGESTS = {
     "irs-k2/fullgroup_irs_ab.jsonl":
         "0577a41aa2dc8a5dfef28ddf236b51086be8fadf1eaa53f21ef735166c1dbe16",
     "irs-k2/fullgroup_tv.csv":
-        "6c10634e924fc2bc56cb749be57bee3c88fe346f9876b729d79c1395089cb786",
+        "37fe9faa81da37dc49f75164e5b1df9002d4623f3f825af5a7f6330629343c0b",
     "irs-k4/fullgroup_irs_aa.jsonl":
         "12a0e40ec2dc9f8c5eeea205c3c21182be95768869d235d6068260ddd6f742d9",
     "irs-k4/fullgroup_irs_ab.jsonl":
         "394a6a01c766452a385c65af27e1e27a92a8cca0c651e18cd655efc512e4f86b",
     "irs-k4/fullgroup_tv.csv":
-        "6e6585cfda7723828b77d2aa10761b0d9a9c2b603a759b22d8ade3d4fbb33f63",
+        "acdbbd62ffb06753a00706ced97b665d95e96f9b4de9e250b975a971a128dded",
     "neumann/neumann_tail_defects.csv":
         "f614262a448aa20e405f994b3ce2c86947e21a06b7b1dfa5d8657db6659bfcfd",
     "neumann-scaled/neumann_tail_defects.csv":

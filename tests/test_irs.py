@@ -18,7 +18,8 @@ from stabilitylab.irs import (CylinderFingerprint, EmpiricalIRS, FiniteGSet,
                               irs_distance, irs_of_gset, mixture, pad_gset,
                               point_mass_irs, realize_irs_as_gset, relabel,
                               trivial_gset, vershik_irs)
-from stabilitylab.irs import _SAMPLE_BLOCK, _az_window_pairs, _fixation_rows
+from stabilitylab.irs import (_SAMPLE_BLOCK, _az_window_pairs, _fixation_rows,
+                              _orbit_sets)
 from stabilitylab.perms import (GenTuple, Perm, alt_marking, generate_closure,
                                 identity_perm, word_eval)
 from stabilitylab.words import (ResourceLimitError, enumerate_ball, identity,
@@ -409,11 +410,30 @@ class TestVershik:
         assert irs.n_samples == n_samples
         assert irs.to_json_lines() == expected.to_json_lines()
 
+    def test_interleaved_calls_match_calls_made_alone(self):
+        # a call's draw buffers live for that call only; sample counts end
+        # inside a block, and an exact call runs between the sampled ones
+        alpha = [Fraction(1, 5), Fraction(3, 10), Fraction(1, 2)]
+        calls = [("alt:20", None, 2 * _SAMPLE_BLOCK - 7, 3), ("az", 6, _SAMPLE_BLOCK + 5, 4),
+                 ("alt:2", None, 123, 5), ("alt:20", None, 9, 6)]
+        exact = vershik_irs([HALF, HALF], "alt:2", radius=2, mode="exact")
+        interleaved = []
+        for target, window, n_samples, seed in calls:
+            interleaved.append(vershik_irs(alpha, target, radius=2, mode="sampled",
+                                           window=window, n_samples=n_samples, seed=seed))
+            assert vershik_irs([HALF, HALF], "alt:2", radius=2, mode="exact") == exact
+        for (target, window, n_samples, seed), irs in zip(calls, interleaved):
+            alone = vershik_irs(alpha, target, radius=2, mode="sampled", window=window,
+                                n_samples=n_samples, seed=seed)
+            expected = expected_sampled_vershik(alpha, target, 2, n_samples, seed,
+                                                window=window)
+            assert irs.to_json_lines() == alone.to_json_lines() == expected.to_json_lines()
+
     def test_word_moving_no_pair_fixes_every_coloring(self):
         colorings = np.random.default_rng(6).integers(0, 2, size=(50, 5)).astype(np.uint8)
         pairs = [(np.arange(5), np.array([1, 0, 2, 3, 4])), (np.arange(5), np.arange(5)),
                  (np.array([2, 3]), np.array([2, 3]))]
-        rows = _fixation_rows(colorings, pairs)
+        rows = _fixation_rows(colorings.T, _orbit_sets(pairs))
         assert np.array_equal(rows, expected_fixation_rows(colorings, pairs))
         assert rows[:, 1].all() and rows[:, 2].all()
         assert not rows[:, 0].all()
@@ -422,7 +442,7 @@ class TestVershik:
         colorings = np.random.default_rng(7).integers(0, 2, size=(50, 5)).astype(np.uint8)
         empty = np.array([], dtype=np.intp)
         pairs = [(np.arange(5), np.array([0, 2, 1, 3, 4])), (empty, empty)]
-        rows = _fixation_rows(colorings, pairs)
+        rows = _fixation_rows(colorings.T, _orbit_sets(pairs))
         assert rows.shape == (50, 2)
         assert np.array_equal(rows, expected_fixation_rows(colorings, pairs))
         assert rows[:, 1].all()
@@ -431,7 +451,9 @@ class TestVershik:
     @given(st.data())
     def test_packed_rows_match_oracle(self, data):
         # 1-6 colors (1-3 bit planes), counts off a multiple of 8, and words
-        # with no pair, only fixed pairs, or random pairs
+        # with no pair, only fixed pairs, or random pairs; then words sharing
+        # an earlier word's orbit set (its inverse, its pairs shuffled or
+        # repeated) and the identity
         n_colors = data.draw(st.integers(1, 6))
         size = data.draw(st.integers(1, 12))
         palette = data.draw(st.lists(st.integers(0, n_colors - 1), min_size=1, max_size=3))
@@ -443,7 +465,26 @@ class TestVershik:
         moved = st.lists(st.tuples(point, point), max_size=4).map(
             lambda xy: tuple(np.array([p[i] for p in xy], dtype=np.intp) for i in (0, 1)))
         pairs = data.draw(st.lists(st.one_of(fixed, moved), min_size=1, max_size=6))
-        rows = _fixation_rows(colorings, pairs)
+        sharing = []
+        for kind in data.draw(st.lists(st.sampled_from(
+                ["inverse", "shuffled", "repeated", "identity"]), max_size=6)):
+            if kind == "identity":
+                pairs.append((np.arange(size),) * 2)
+                continue
+            j = data.draw(st.integers(0, len(pairs) - 1))
+            src, dst = pairs[j]
+            if kind == "inverse":
+                pairs.append((dst, src))
+            else:
+                order = data.draw(st.permutations(range(len(src))))
+                if kind == "repeated" and order:
+                    order += data.draw(st.lists(st.sampled_from(order), min_size=1, max_size=4))
+                pairs.append((src[order], dst[order]))
+            sharing.append((j, len(pairs) - 1))
+        orbits = _orbit_sets(pairs)
+        for j, k in sharing:
+            assert orbits[1][j] == orbits[1][k]
+        rows = _fixation_rows(colorings.T, orbits)
         assert rows.dtype == bool and rows.flags.c_contiguous
         assert np.array_equal(rows, expected_fixation_rows(colorings, pairs))
 
