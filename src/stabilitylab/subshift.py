@@ -19,7 +19,7 @@ import numpy as np
 
 from .words import InvariantError, ResourceLimitError
 
-RESOLUTION_CAP = 64
+_RESOLUTION_CAP = 64
 _STRING_CAP = 4_000_000
 _MAX_LEVEL = 400         # substitution iterates tried before frequencies must settle
 
@@ -212,20 +212,15 @@ def substitution_by_name(text: str) -> Substitution:
 # clopen sets
 
 class ClopenSet:
-    """A clopen subset of the subshift, as admissible window words.
+    """A clopen subset of the subshift, as admissible window words."""
 
-    The canonical form is memoized on the instance.  The memo only points
-    from a set to the reduced set derived from it, never back, so dropping a
-    set frees it without waiting for the cycle collector.
-    """
-
-    __slots__ = ("sub", "resolution", "members", "_reduced", "_minimal")
+    __slots__ = ("sub", "resolution", "members", "_minimal")
 
     def __init__(self, sub: Substitution, resolution: int, members):
         if resolution < 0:
             raise ValueError("resolution must be >= 0")
-        if resolution > RESOLUTION_CAP:
-            raise ResourceLimitError(f"resolution {resolution} exceeds cap {RESOLUTION_CAP}")
+        if resolution > _RESOLUTION_CAP:
+            raise ResourceLimitError(f"resolution {resolution} exceeds cap {_RESOLUTION_CAP}")
         members = frozenset(members)
         width = 2 * resolution + 1
         lang = sub.factor_set(width)
@@ -235,7 +230,6 @@ class ClopenSet:
         self.sub = sub
         self.resolution = resolution
         self.members = members
-        self._reduced = None
         self._minimal = False
 
     # -- canonical form -----------------------------------------------------
@@ -244,8 +238,6 @@ class ClopenSet:
         """Equivalent set at the least possible resolution (canonical form)."""
         if self._minimal:
             return self
-        if self._reduced is not None:
-            return self._reduced
         cur = self
         while cur.resolution > 0:
             projected = frozenset(w[1:-1] for w in cur.members)
@@ -257,8 +249,6 @@ class ClopenSet:
             else:
                 break
         cur._minimal = True
-        if cur is not self:
-            self._reduced = cur
         return cur
 
     def at_resolution(self, resolution: int) -> "ClopenSet":
@@ -291,30 +281,15 @@ class ClopenSet:
 
     # -- boolean algebra ----------------------------------------------------
 
-    def _check_sub(self, other: "ClopenSet") -> None:
+    def _common(self, other: "ClopenSet"):
         if self.sub != other.sub:
             raise ValueError("clopen sets over different subshifts")
-
-    def _common(self, other: "ClopenSet"):
-        self._check_sub(other)
         level = max(self.resolution, other.resolution)
         return self.at_resolution(level), other.at_resolution(level)
 
-    def _inside(self, coarser: "ClopenSet") -> frozenset:
-        """Members of this set whose window, cut down to the coarser set's
-        resolution, is a member of the coarser set: no lifting needed."""
-        self._check_sub(coarser)
-        off = self.resolution - coarser.resolution
-        span = 2 * coarser.resolution + 1
-        inner = coarser.members
-        return frozenset(w for w in self.members if w[off:off + span] in inner)
-
-    def _finer_first(self, other: "ClopenSet"):
-        return (self, other) if self.resolution >= other.resolution else (other, self)
-
     def intersect(self, other: "ClopenSet") -> "ClopenSet":
-        fine, coarse = self._finer_first(other)
-        return ClopenSet(self.sub, fine.resolution, fine._inside(coarse))
+        a, b = self._common(other)
+        return ClopenSet(self.sub, a.resolution, a.members & b.members)
 
     def union(self, other: "ClopenSet") -> "ClopenSet":
         a, b = self._common(other)
@@ -329,8 +304,8 @@ class ClopenSet:
         return not self.members
 
     def is_disjoint(self, other: "ClopenSet") -> bool:
-        fine, coarse = self._finer_first(other)
-        return not fine._inside(coarse)
+        a, b = self._common(other)
+        return a.members.isdisjoint(b.members)
 
     # -- dynamics -----------------------------------------------------------
 
@@ -423,7 +398,14 @@ class ErgodicMeasure:
         return self._table(len(word)).get(word, 0.0)
 
     def measure(self, clopen: ClopenSet) -> float:
-        """Sum of member-window frequencies; exact up to len(members)*tolerance."""
+        """Sum of member-window frequencies; exact up to len(members)*tolerance.
+
+        The table is read at the set's stored resolution, so equal sets stored
+        at different resolutions can measure differently within that slack:
+        on Fibonacci, ``cylinder("aab")`` (resolution 2) measures
+        0.2360679775001667 and its reduced form (resolution 1)
+        0.2360679774994487.
+        """
         if clopen.sub != self.sub:
             raise ValueError("clopen set over a different subshift")
         table = self._table(2 * clopen.resolution + 1)
@@ -600,9 +582,11 @@ def refine_kr(partition: KRPartition, *stages) -> KRPartition:
     Each stage of pieces splits every base by the itinerary of its levels
     through them; subtowers keep their height, so base, roof and minimal
     height survive, and each refined atom lies inside one piece per stage.
-    A point lies in T^-i(p) exactly when its window, cut to p's resolution
-    around coordinate i, is a member of p, so itineraries are read by slicing
-    the base windows.  Only the final partition is built and validated.
+    Each stage lifts its pieces once to their largest resolution (reach) and
+    maps every window of that width to its piece; a point lies in T^-i(p)
+    exactly when its window around coordinate i maps to p, so itineraries are
+    read off the base windows by one lookup per coordinate.  Only the final
+    partition is built and validated.
     """
     sub, towers = partition.sub, partition.towers
     for pieces in stages:
@@ -610,6 +594,11 @@ def refine_kr(partition: KRPartition, *stages) -> KRPartition:
         if not is_partition(sub, pieces):
             raise ValueError("the refining pieces do not form a clopen partition")
         reach = max(p.resolution for p in pieces)
+        piece_of: dict[str, int] = {}
+        for j, p in enumerate(pieces):
+            for window in p.at_resolution(reach).members:
+                if piece_of.setdefault(window, j) != j:
+                    raise InvariantError("two pieces claim one window")
         split = []
         for tower in towers:
             height = tower.height
@@ -618,11 +607,10 @@ def refine_kr(partition: KRPartition, *stages) -> KRPartition:
             for member in tower.base.at_resolution(level).members:
                 itinerary = []
                 for mid in range(level, level + height):  # coordinates 0..height-1
-                    hits = [j for j, p in enumerate(pieces)
-                            if member[mid - p.resolution:mid + p.resolution + 1] in p.members]
-                    if len(hits) != 1:
-                        raise InvariantError("pieces failed to split a base window")
-                    itinerary.append(hits[0])
+                    j = piece_of.get(member[mid - reach:mid + reach + 1])
+                    if j is None:
+                        raise InvariantError("no piece holds a base window")
+                    itinerary.append(j)
                 groups.setdefault(tuple(itinerary), set()).add(member)
             for j, key in enumerate(sorted(groups)):
                 sub_base = ClopenSet(sub, level, groups[key]).reduce()

@@ -13,7 +13,7 @@ from stabilitylab.subshift import (ClopenSet, ErgodicMeasure, KRPartition,
                                    full_set, is_partition, kr_partition,
                                    refine_kr, return_words,
                                    substitution_by_name, thue_morse)
-from stabilitylab.words import ResourceLimitError
+from stabilitylab.words import InvariantError, ResourceLimitError
 
 _FIB = fibonacci()
 
@@ -175,12 +175,15 @@ class TestClopenAlgebra:
 
     @given(fib_clopen(), fib_clopen())
     @settings(max_examples=60, deadline=None)
-    def test_window_slicing_agrees_with_lifting(self, c, d):
+    def test_operations_agree_with_lifted_member_sets(self, c, d):
         level = max(c.resolution, d.resolution)
         a, b = c.at_resolution(level).members, d.at_resolution(level).members
         meet = c.intersect(d)
         assert (meet.resolution, meet.members) == (level, a & b)
         assert d.intersect(c).members == a & b
+        join = c.union(d)
+        assert (join.resolution, join.members) == (level, a | b)
+        assert d.union(c).members == a | b
         assert c.minus(d).at_resolution(level).members == a - b
         assert c.minus(d).is_empty == (a <= b)
         assert d.minus(c).is_empty == (b <= a)
@@ -193,7 +196,7 @@ class TestClopenAlgebra:
                 with pytest.raises(ValueError, match="different subshifts"):
                     op(y)
 
-    def test_reduce_memo_leaves_no_reference_cycles(self):
+    def test_reduce_and_shift_leave_no_reference_cycles(self):
         gc.collect()
         gc.disable()
         try:
@@ -394,6 +397,15 @@ class TestRefine:
         with pytest.raises(ValueError):
             refine_kr(self.part, [cylinder(self.sub, "a")])
 
+    @pytest.mark.parametrize("words,match", [(["a"], "no piece"),
+                                             (["a", "b", "ab"], "two pieces")])
+    def test_pieces_missing_or_sharing_a_window_raise(self, monkeypatch, words, match):
+        # past a partition check that lets them through, pieces that miss a
+        # base window or claim one twice are an invariant failure
+        monkeypatch.setattr(subshift, "is_partition", lambda sub, pieces: True)
+        with pytest.raises(InvariantError, match=match):
+            refine_kr(self.part, [cylinder(self.sub, w) for w in words])
+
 
 def _towers(partition):
     return [(t.label, t.height, t.base.reduce().resolution, t.base.reduce().members)
@@ -401,8 +413,8 @@ def _towers(partition):
 
 
 class TestRefineMatchesPullAndLift:
-    """``refine_kr`` reads itineraries by slicing windows; the oracle pulls
-    every piece back and lifts it to the tower's resolution."""
+    """``refine_kr`` reads itineraries off one window-to-piece map per stage;
+    the oracle pulls every piece back and lifts it to the tower's resolution."""
 
     @pytest.mark.parametrize("sub,word", [
         (fibonacci(), "aa"), (fibonacci(), "abaab"), (thue_morse(), "ab"),
