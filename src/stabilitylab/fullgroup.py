@@ -6,8 +6,8 @@ exponent of a product at x is the exponent of the right factor at x plus the
 exponent of the left factor at the image).  On a tower partition whose atoms
 make every table exponent constant, each element induces a permutation of the
 atoms; checking that this assignment is injective and multiplicative on a
-ball, and that atom fixation mirrors pointwise fixation, certifies a local
-embedding into a finite symmetric group.  Pushing tower masses through atom
+ball, and that an element fixes exactly the atoms where its exponent is zero,
+certifies a local embedding into a finite symmetric group.  Pushing tower masses through atom
 stabilizers then computes invariant-random-subgroup marginals exactly.
 """
 
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,56 +145,6 @@ def tower_gadgets(sub: Substitution, word: str, count: int = 2) -> list[TableEle
 
 
 # ---------------------------------------------------------------------------
-# pointwise orbit simulation
-
-@dataclass(frozen=True)
-class SymbolicPoint:
-    """A point of the subshift known on a long finite window of coordinates."""
-
-    text: str
-    origin: int
-
-    def window(self, resolution: int) -> str:
-        lo, hi = self.origin - resolution, self.origin + resolution + 1
-        if lo < 0 or hi > len(self.text):
-            raise ValueError("sampled text too short for this resolution")
-        return self.text[lo:hi]
-
-    def in_set(self, part: ClopenSet) -> bool:
-        return self.window(part.resolution) in part.members
-
-    def cocycle(self, g: TableElement) -> int:
-        for part, exponent in g.parts:
-            if self.in_set(part):
-                return exponent
-        raise InvariantError("table parts failed to cover a point")
-
-    def apply(self, g: TableElement) -> "SymbolicPoint":
-        return SymbolicPoint(self.text, self.origin + self.cocycle(g))
-
-
-def sample_points(sub: Substitution, count: int, margin: int,
-                  seed: int) -> list[SymbolicPoint]:
-    text = sub.long_word(max(4 * margin + 8 * count, 4096))
-    rng = random.Random(seed)
-    return [SymbolicPoint(text, rng.randrange(margin, len(text) - margin))
-            for _ in range(count)]
-
-
-def point_inside(part: ClopenSet, margin: int) -> SymbolicPoint:
-    """Some point of a nonempty clopen set, with room to move around it."""
-    if part.is_empty:
-        raise ValueError("empty set has no points")
-    member = min(part.members)
-    text = part.sub.long_word(4096)
-    while True:
-        idx = text.find(member, margin)
-        if idx != -1 and idx + len(member) + margin <= len(text):
-            return SymbolicPoint(text, idx + part.resolution)
-        text = part.sub.long_word(len(text) + 1)
-
-
-# ---------------------------------------------------------------------------
 # balls in the generated group
 
 @dataclass(frozen=True)
@@ -240,8 +189,11 @@ def ball_elements(generators, radius: int) -> BallElements:
     position = {w: i for i, w in enumerate(sub.factors(2 * rho + 1))}
     pi = np.array([[position[u[s:s + 2 * rho + 1]] for u in windows]
                    for s in range(2 * big - 2 * rho + 1)])
-    # steps[l][s, u]: the exponent of letter l at T^(s + rho - big) x_u
-    steps = {l: np.array([SymbolicPoint(w, rho).cocycle(g) for w in position])[pi]
+    # steps[l][s, u]: the exponent of letter l at T^(s + rho - big) x_u, read
+    # off the one part holding the central subwindow of the radius-rho window
+    steps = {l: np.array([next(a for c, a in g.parts
+                               if w[rho - c.resolution:rho + c.resolution + 1] in c.members)
+                          for w in position])[pi]
              for l, g in letters.items()}
 
     def columns(k):  # rows are offset-major: offset j of x_u sits at (j + h) * n + u
@@ -375,9 +327,9 @@ def local_embedding(generators, radius: int, partition: KRPartition) -> Embeddin
     """Map a generator ball to atom permutations and verify it behaves.
 
     Checks: distinct elements get distinct permutations; products inside the
-    ball map to products; and for every element and atom, fixing a sample
-    point, having exponent zero, and fixing the atom are equivalent.
-    Failures are report outcomes, not exceptions.
+    ball map to products; and for every element and atom, having exponent
+    zero and fixing the atom are equivalent.  Failures are report outcomes,
+    not exceptions.
 
     An element's exponents are its :attr:`BallElements.cocycles` row read at
     the radius-R windows each atom covers; the first atom where the row is not
@@ -419,16 +371,10 @@ def local_embedding(generators, radius: int, partition: KRPartition) -> Embeddin
     mult_failures = [(entries[a].word, entries[b].word)
                      for a, b in zip(*np.nonzero(failed))]
 
-    blockstab_failures = []
-    margin = max(c.resolution for e in entries for c, _ in e.element.parts) + 1
-    witnesses = [point_inside(atom.part, margin) for atom in atoms]
-    for e in entries:
-        for idx, atom in enumerate(atoms):
-            fixes_point = witnesses[idx].cocycle(e.element) == 0
-            exponent_zero = e.exponents[idx] == 0
-            fixes_atom = e.image(idx) == idx
-            if not (fixes_point == exponent_zero == fixes_atom):
-                blockstab_failures.append((e.word, idx))
+    # an element must fix exactly the atoms where its exponent is 0
+    mismatched = (exponents == 0) != (images == np.arange(len(atoms)))
+    blockstab_failures = [(entries[a].word, int(i))
+                          for a, i in zip(*np.nonzero(mismatched))]
 
     return EmbeddingReport(ball.ball, len(atoms), tuple(entries), ball.word_to_index,
                            tuple(collisions), tuple(mult_failures),

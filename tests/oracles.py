@@ -7,6 +7,7 @@ route than the library code it checks.
 import itertools
 import random
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -144,6 +145,51 @@ def expected_atom_exponents(element, partition) -> tuple:
     return tuple(next((a for part, a in element.parts if atom.part.minus(part).is_empty),
                       None)
                  for atom in partition.atoms())
+
+
+@dataclass(frozen=True)
+class SymbolicPoint:
+    """A point of the subshift known on a long finite window of coordinates:
+    exponents read pointwise off the table parts, not off cocycle rows."""
+
+    text: str
+    origin: int
+
+    def window(self, resolution: int) -> str:
+        lo, hi = self.origin - resolution, self.origin + resolution + 1
+        if lo < 0 or hi > len(self.text):
+            raise ValueError("sampled text too short for this resolution")
+        return self.text[lo:hi]
+
+    def cocycle(self, g) -> int:
+        for part, exponent in g.parts:
+            if self.window(part.resolution) in part.members:
+                return exponent
+        raise InvariantError("table parts failed to cover a point")
+
+    def apply(self, g) -> "SymbolicPoint":
+        return SymbolicPoint(self.text, self.origin + self.cocycle(g))
+
+
+def sample_points(sub, count: int, margin: int, seed: int) -> list:
+    """``count`` seeded points of one long word, each ``margin`` from its ends."""
+    text = sub.long_word(max(4 * margin + 8 * count, 4096))
+    rng = random.Random(seed)
+    return [SymbolicPoint(text, rng.randrange(margin, len(text) - margin))
+            for _ in range(count)]
+
+
+def point_inside(part: ClopenSet, margin: int) -> SymbolicPoint:
+    """Some point of a nonempty clopen set, with room to move around it."""
+    if part.is_empty:
+        raise ValueError("empty set has no points")
+    member = min(part.members)
+    text = part.sub.long_word(4096)
+    while True:
+        idx = text.find(member, margin)
+        if idx != -1 and idx + len(member) + margin <= len(text):
+            return SymbolicPoint(text, idx + part.resolution)
+        text = part.sub.long_word(len(text) + 1)
 
 
 def expected_multiplicativity(entries):

@@ -11,12 +11,13 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from oracles import expected_atomic_irs, random_gset, random_subgroup_atom
+from oracles import (expected_atomic_irs, random_gset, random_subgroup_atom,
+                     sample_points)
 
 from stabilitylab.challenges import d_gen_bound, d_gen_exact
 from stabilitylab.fullgroup import (adapted_partition, ball_elements,
                                     fullgroup_irs_limit_check, local_embedding,
-                                    sample_points, tower_gadgets)
+                                    tower_gadgets)
 from stabilitylab.harness import random_az_trivial_words
 from stabilitylab.irs import (irs_distance, irs_of_gset, mixture, pad_gset,
                               point_mass_irs, realize_irs_as_gset,

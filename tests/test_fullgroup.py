@@ -1,17 +1,20 @@
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from oracles import (expected_atom_exponents, expected_fullgroup_irs,
-                     expected_multiplicativity)
-from stabilitylab import fullgroup, subshift
+                     expected_multiplicativity, point_inside, sample_points)
+from stabilitylab import fullgroup
 from stabilitylab.fullgroup import (TableElement, adapted_partition,
                                     ball_elements, fullgroup_irs,
                                     fullgroup_irs_limit_check, identity_element,
-                                    local_embedding, point_inside,
-                                    sample_points, three_cycle, tower_gadgets)
+                                    local_embedding, three_cycle, tower_gadgets)
 from stabilitylab.irs import CylinderFingerprint, EmpiricalIRS
 from stabilitylab.subshift import (ClopenSet, ErgodicMeasure, KRPartition, chacon,
                                    cylinder, fibonacci, full_set, kr_partition,
@@ -105,14 +108,10 @@ class TestTableElement:
 
 
 class TestCocycle:
+    # the pointwise reference in oracles.py: table exponents read at points
     def test_identity_cocycle_everywhere_zero(self):
         for point in sample_points(FIB, 5, margin=4, seed=0):
             assert point.cocycle(identity_element(FIB)) == 0
-
-    def test_point_inside_string_cap(self, monkeypatch):
-        monkeypatch.setattr(subshift, "_STRING_CAP", 5000)
-        with pytest.raises(ResourceLimitError, match="string cap"):
-            point_inside(cylinder(FIB, "aabaa"), margin=10_000)
 
     def test_apply_moves_origin(self, gadgets):
         g1, _ = gadgets
@@ -289,6 +288,12 @@ class TestAtomExponents:
         assert [(e.word, e.element, e.exponents) for e in report.entries] == entries
         assert list(report.cocycle_failures) == failures
         assert bool(failures) == (radius >= 1 and not adapted)
+        if adapted:  # each atom exponent is the element's exponent at a point inside
+            margin = 1 + max(c.resolution for e in report.entries
+                             for c, _ in e.element.parts)
+            points = [point_inside(atom.part, margin) for atom in part.atoms()]
+            for e in report.entries:
+                assert [p.cocycle(e.element) for p in points] == list(e.exponents)
 
 
 class TestAdaptedPartition:
@@ -360,6 +365,25 @@ class TestLocalEmbedding:
         assert len(report.entries) == 17 and not report.passed
         assert [(str(a), str(b)) for a, b in report.injectivity_collisions] == [
             ("e", ch * k) for k in range(5, 9) for ch in "aA"]
+
+    @pytest.mark.parametrize("seed, radius", [("aa", 8), ("a", 1)])
+    def test_blockstab_failures_are_the_atoms_a_moving_power_fixes(self, seed, radius):
+        # T^k moves every point, yet its tower permutation fixes each atom of a
+        # tower no taller than |k|: heights 3 and 5 over "aa", 1 and 2 over "a"
+        t = TableElement(FIB, [(full_set(FIB), 1)])
+        part = kr_partition(FIB, seed)
+        heights = [part.towers[atom.tower].height for atom in part.atoms()]
+        report = local_embedding([t], radius, part)
+        expected = [(ch * k, i) for k in range(1, radius + 1) for ch in "aA"
+                    for i, h in enumerate(heights) if h <= k]
+        assert len(expected) == {"aa": 76, "a": 2}[seed]
+        if seed == "a":
+            assert expected == [("a", 0), ("A", 0)]
+        assert [(str(w), i) for w, i in report.blockstab_failures] == expected
+        assert all(type(i) is int for _, i in report.blockstab_failures)
+        assert not report.cocycle_failures
+        assert json.loads(report.to_json())["blockstab_failures"] == [
+            {"word": w, "atom": i} for w, i in expected]
 
     def test_under_refined_reported_not_bogus(self, gadgets):
         report = local_embedding(gadgets, 1, kr_partition(FIB, "a"))
@@ -585,3 +609,21 @@ class TestLimitCheck:
         report = fullgroup_irs_limit_check(FIB, gadgets, 2, 1, ["aa"], measure)
         assert clean.marginal_max_gap < 1e-12
         assert report.marginal_max_gap == pytest.approx(delta, rel=1e-6)
+
+
+def test_demo_08_verdicts():
+    # CI runs the demos for their exit code only; their verdict lines must hold
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(fullgroup.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, str(root / "demos" / "08_full_group_shadows.py")],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    lines = out.splitlines()
+    for prefix, verdict in (("they commute:", "True  and cube to the identity: True"),
+                            ("cocycle relation on", "ball's products: True"),
+                            ("embedding:", "embedding verified"),
+                            ("per ball word,", "same support: True")):
+        [line] = [l for l in lines if l.startswith(prefix)]
+        assert verdict in line
+    assert "False" not in out
